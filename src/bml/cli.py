@@ -247,6 +247,8 @@ def _params_of(args) -> BMLParams:
 
 
 def _grid_of(args) -> GridSpec:
+    if args.radii < 1:
+        raise CLIError(f"--radii must be at least 1, got {args.radii}")
     radii = tuple(args.rmax * k / args.radii for k in range(1, args.radii + 1))
     return GridSpec(
         radii=radii,

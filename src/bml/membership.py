@@ -7,7 +7,10 @@ series f is decided three independent ways:
 * ``check_direct`` samples the phase ratio of the operator image over a
   polar grid and tests containment in the target region (subordination
   reduces to range containment because the target is univalent and both
-  sides agree at the origin);
+  sides agree at the origin).  For a polynomial target, containment of w
+  is decided by solving Theta(x) = theta_need(w) for every root at once
+  (one batched companion-matrix eigenvalue solve): w lies in the region
+  exactly when the root nearest the origin lies in the unit disc;
 * ``check_convolution`` scans the modulus of a direction-indexed
   convolution over (interior point, boundary direction) pairs and looks
   for a vanishing value, with a deterministic local refinement around
@@ -43,7 +46,6 @@ from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
-_POLYGON_SAMPLES = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -213,8 +215,59 @@ def _disc_parameters(spec: ClassSpec):
     return center, math.cos(spec.lam) * r_theta
 
 
+def _theta_need(spec: ClassSpec, e: np.ndarray) -> np.ndarray:
+    """Target value Theta at which the direction value E(x) = -Phi(x) equals e."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        return (cmath.exp(1j * spec.lam) * e - 1j * math.sin(spec.lam)) / math.cos(spec.lam)
+
+
+@lru_cache(maxsize=16)
+def _trimmed_coefficients(theta: PolynomialTheta) -> np.ndarray:
+    co = np.trim_zeros(np.asarray(theta.coefficients, dtype=complex), "b")
+    co.flags.writeable = False
+    return co
+
+
+def _preimage_roots(theta: PolynomialTheta, t_need) -> np.ndarray:
+    """All M roots of Theta(x) = t for each t of a batch, shape (n, M).
+
+    One eigenvalue solve over the stack of companion matrices of
+    Theta(x) - t; they differ only in the last entry of their first row.
+    Rows whose t is non-finite (or overflows that entry) are inf.
+    """
+    co = _trimmed_coefficients(theta)
+    t = np.asarray(t_need, dtype=complex).ravel()
+    m = len(co) - 1
+    if m == 0:
+        return np.empty((len(t), 0), dtype=complex)
+    with np.errstate(over="ignore", invalid="ignore"):
+        last = -(co[0] - t) / co[-1]
+    finite = np.isfinite(last)
+    comp = np.zeros((len(t), m, m), dtype=complex)
+    comp[:, 0, :] = -co[-2::-1] / co[-1]
+    comp[:, 0, -1] = np.where(finite, last, 0.0)
+    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+    roots = np.linalg.eigvals(comp)
+    roots[~finite] = np.inf
+    return roots
+
+
+def _preimage(theta: PolynomialTheta, t_need, radius: float) -> np.ndarray:
+    """Per t, the root of Theta(x) = t whose modulus is nearest `radius` (inf if none)."""
+    roots = _preimage_roots(theta, t_need)
+    if roots.shape[1] == 0:
+        return np.full(len(roots), np.inf, dtype=complex)
+    k = np.argmin(np.abs(np.abs(roots) - radius), axis=1)
+    return roots[np.arange(len(roots)), k]
+
+
 def _region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
-    """Signed distances from each w to the target-region boundary (+ inside)."""
+    """Signed distances from each w to the target-region boundary (+ inside).
+
+    Janowski margins are exact.  A polynomial margin is
+    cos(lam) |Theta'(x)| (1 - |x|) for the preimage x of w nearest the
+    origin: the distance to the boundary to first order, with an exact sign.
+    """
     ws = np.asarray(ws, dtype=complex)
     if isinstance(spec.theta, JanowskiTheta):
         if spec.theta.B == -1.0:
@@ -222,8 +275,15 @@ def _region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
             return bound - (np.exp(1j * spec.lam) * ws).real
         center, radius = _disc_parameters(spec)
         return radius - np.abs(ws - center)
-    poly = _target_polygon(spec.theta, spec.lam)
-    return _polygon_margins(poly, ws)
+    co = _trimmed_coefficients(spec.theta)
+    if len(co) == 1:  # constant target: the region is the single point -1
+        return -np.abs(ws + 1.0)
+    x = _preimage(spec.theta, _theta_need(spec, -ws.ravel()), 0.0)
+    finite = np.isfinite(x)
+    x = np.where(finite, x, 0.0)
+    slope = np.abs(np.polyval(np.polyder(co[::-1]), x))
+    margins = math.cos(spec.lam) * slope * (1.0 - np.abs(x))
+    return np.where(finite, margins, -np.inf).reshape(ws.shape)
 
 
 def target_region_contains(spec: ClassSpec, w: complex):
@@ -231,44 +291,15 @@ def target_region_contains(spec: ClassSpec, w: complex):
 
     The region is the image of the open disc under `target_value`:
     an open disc for Janowski targets with |B| < 1, a half-plane for
-    B = -1, and a sampled-boundary polygon for polynomial targets.
-    Boundary contact counts as outside (the classes are open).
+    B = -1.  For a polynomial target, w is inside exactly when the root of
+    Theta(x) = theta_need(w) nearest the origin has |x| < 1; this is exact
+    range containment for any polynomial, but it equals subordination only
+    for a univalent Theta, which is not checked.  Its margin
+    cos(lam) |Theta'(x)| (1 - |x|) is the distance to the boundary to
+    first order.  Boundary contact counts as outside (the classes are open).
     """
     margin = float(_region_margins(spec, np.array([w]))[0])
     return margin > 0.0, margin
-
-
-@lru_cache(maxsize=16)
-def _target_polygon(theta: ThetaSpec, lam: float) -> np.ndarray:
-    t = 2.0 * np.pi * (np.arange(_POLYGON_SAMPLES) + 0.5) / _POLYGON_SAMPLES
-    xs = np.exp(1j * t)
-    th, bad = _theta_grid(theta, xs)
-    if bad.any():
-        raise PoleError("target has poles on the unit circle; no polygon fallback")
-    return -np.exp(-1j * lam) * (math.cos(lam) * th + 1j * math.sin(lam))
-
-
-def _polygon_margins(poly: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Signed point-to-polygon distances, positive inside (crossing parity)."""
-    a = poly
-    b = np.roll(poly, -1)
-    ab = b - a
-    ab2 = np.maximum(np.abs(ab) ** 2, 1e-300)
-    out = np.empty(len(pts))
-    for lo in range(0, len(pts), 256):
-        p = pts[lo : lo + 256, None]
-        d = p - a[None, :]
-        t = np.clip((d * ab.conj()[None, :]).real / ab2[None, :], 0.0, 1.0)
-        dist = np.abs(d - t * ab[None, :]).min(axis=1)
-        cond = (a.imag[None, :] > p.imag) != (b.imag[None, :] > p.imag)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x_int = a.real[None, :] + (p.imag - a.imag[None, :]) * ab.real[None, :] / np.where(
-                ab.imag[None, :] == 0.0, 1e-300, ab.imag[None, :]
-            )
-        crossings = (cond & (p.real < x_int)).sum(axis=1)
-        inside = crossings % 2 == 1
-        out[lo : lo + 256] = np.where(inside, dist, -dist)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -515,88 +546,51 @@ def _annulling_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, wh
         return num / den
 
 
+def _annulling_points(
+    spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str, radius: float
+):
+    """Per sample, the point x (not restricted to the circle) whose direction
+    annuls the scan value; for a polynomial target, the preimage of the
+    annulling direction value whose modulus is nearest `radius`."""
+    if isinstance(spec.theta, JanowskiTheta):
+        return _annulling_direction(spec, base, dirv, which)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        e = (2.0 * dirv - base) / (dirv - base) if which == "t1" else -base / dirv
+    return _preimage(spec.theta, _theta_need(spec, e), radius)
+
+
 def _inside_indicator(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
     """Signed indicator: negative where the annulling direction lies inside
     the unit circle (the sampled value sits inside the target region),
     positive outside; a sign change along a grid edge brackets a zero of
     the convolution on the circle."""
-    if isinstance(spec.theta, JanowskiTheta):
-        x = _annulling_direction(spec, base, dirv, which)
-        return np.abs(x) - 1.0
-    # polynomial target: solve Theta(x) = theta_need per point and track the
-    # root closest to the circle
-    lam = spec.lam
-    el = cmath.exp(1j * lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if which == "t1":
-            e_need = (2.0 * dirv - base) / (dirv - base)
-        else:
-            e_need = -base / dirv
-        theta_need = (el * e_need - 1j * math.sin(lam)) / math.cos(lam)
-    co = np.asarray(spec.theta.coefficients, dtype=complex)
-    out = np.empty(len(base))
-    for i, t_need in enumerate(theta_need):
-        if not np.isfinite(t_need):
-            out[i] = np.inf
-            continue
-        poly = co.copy()
-        poly[0] -= t_need
-        poly = np.trim_zeros(poly, "b")
-        if len(poly) < 2:
-            out[i] = np.inf
-            continue
-        roots = np.roots(poly[::-1])
-        out[i] = float(np.min(np.abs(roots))) - 1.0
-    return out
+    return np.abs(_annulling_points(spec, base, dirv, which, 0.0)) - 1.0
 
 
-def _nearest_circle_direction(spec: ClassSpec, base: complex, dirv: complex, which: str):
-    """Direction candidate on the circle annulling the value at one point."""
-    if isinstance(spec.theta, JanowskiTheta):
-        x = complex(_annulling_direction(spec, np.array([base]), np.array([dirv]), which)[0])
-        return x / abs(x) if x != 0 and cmath.isfinite(x) else None
-    lam = spec.lam
-    el = cmath.exp(1j * lam)
-    if which == "t1":
-        if dirv == base:
-            return None
-        e_need = (2.0 * dirv - base) / (dirv - base)
-    else:
-        if dirv == 0:
-            return None
-        e_need = -base / dirv
-    theta_need = (el * e_need - 1j * math.sin(lam)) / math.cos(lam)
-    if not cmath.isfinite(theta_need):
-        return None
-    poly = np.asarray(spec.theta.coefficients, dtype=complex).copy()
-    poly[0] -= theta_need
-    poly = np.trim_zeros(poly, "b")
-    if len(poly) < 2:
-        return None
-    roots = np.roots(poly[::-1])
-    x = complex(roots[np.argmin(np.abs(np.abs(roots) - 1.0))])
-    return x / abs(x) if x != 0 else None
+def _nearest_circle_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
+    """Per point, the direction on the circle nearest to annulling the value
+    there (nan where there is none)."""
+    x = _annulling_points(spec, base, dirv, which, 1.0)
+    ok = np.isfinite(x) & (x != 0)
+    x = np.where(ok, x, 1.0)
+    return np.where(ok, x / np.abs(x), np.nan)
 
 
-def _crossing_edges(indicator: np.ndarray, n_radii: int, n_angles: int):
-    """Grid edges whose endpoints disagree on the inside indicator.
+def _crossing_edges(indicator: np.ndarray, n_radii: int, n_angles: int) -> np.ndarray:
+    """Grid edges, as (E, 2) sample indices, whose endpoints disagree on the
+    inside indicator.
 
     Angular neighbours within each circle first (wrapping), then radial
-    neighbours at fixed angle; deterministic order.
+    neighbours at fixed angle; each group r-major, deterministic order.
     """
-    s = np.sign(indicator.reshape(n_radii, n_angles))
-    edges = []
-    finite = np.isfinite(indicator.reshape(n_radii, n_angles))
-    for r in range(n_radii):
-        for k in range(n_angles):
-            k2 = (k + 1) % n_angles
-            if finite[r, k] and finite[r, k2] and s[r, k] * s[r, k2] < 0:
-                edges.append((r * n_angles + k, r * n_angles + k2))
-    for r in range(n_radii - 1):
-        for k in range(n_angles):
-            if finite[r, k] and finite[r + 1, k] and s[r, k] * s[r + 1, k] < 0:
-                edges.append((r * n_angles + k, (r + 1) * n_angles + k))
-    return edges
+    ind = indicator.reshape(n_radii, n_angles)
+    s = np.where(np.isfinite(ind), np.sign(ind), 0.0)
+    idx = np.arange(n_radii * n_angles).reshape(n_radii, n_angles)
+    ang = np.nonzero(s * np.roll(s, -1, axis=1) < 0)
+    rad = np.nonzero(s[:-1] * s[1:] < 0)
+    a = np.concatenate([idx[ang], idx[rad]])
+    b = np.concatenate([np.roll(idx, -1, axis=1)[ang], idx[1:][rad]])
+    return np.stack([a, b], axis=1)
 
 
 def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
@@ -652,29 +646,22 @@ def check_convolution(
     # locate actual zeros bracketed by the sampled annulling directions
     indicator = _inside_indicator(spec, base, dirv, which)
     edges = _crossing_edges(indicator, len(grid.radii), grid.angles)[:24]
-    hits = []
-    if edges:
-        ia = np.array([e[0] for e in edges])
-        ib = np.array([e[1] for e in edges])
-        hits.extend(
-            _bisect_zero_batch(s_base, s_dir, spec, which, zs[ia], zs[ib], indicator[ia])
-        )
     # a sample can sit exactly on the zero contour, flagging no edge
-    hits.extend(zs[np.nonzero(indicator == 0.0)[0][:8]])
-    if hits:
-        z_hits = np.array(hits, dtype=complex)
+    z_hits = zs[np.nonzero(indicator == 0.0)[0][:8]]
+    if len(edges):
+        ia, ib = edges.T
+        zb = _bisect_zero_batch(s_base, s_dir, spec, which, zs[ia], zs[ib], indicator[ia])
+        z_hits = np.concatenate([zb, z_hits])
+    if len(z_hits):
         bh, dh = _eval_pair(s_base, s_dir, z_hits)
-        for k in range(len(z_hits)):
-            x_cand = _nearest_circle_direction(spec, complex(bh[k]), complex(dh[k]), which)
-            if x_cand is None:
-                continue
-            w_cand, skip_cand = _direction_weights(spec, np.array([x_cand]), which)
-            if skip_cand[0]:
-                continue
-            val = float(np.abs(bh[k] + w_cand[0] * dh[k]))
-            if val < best_val:
-                best_val = val
-                best_z, best_x = complex(z_hits[k]), x_cand
+        x_cand = _nearest_circle_direction(spec, bh, dh, which)
+        ok = np.isfinite(x_cand)
+        w_cand, skip_cand = _direction_weights(spec, np.where(ok, x_cand, 1.0), which)
+        vals = np.where(ok & ~skip_cand, np.abs(bh + w_cand * dh), np.inf)
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val = float(vals[k])
+            best_z, best_x = complex(z_hits[k]), complex(x_cand[k])
 
     if best_val >= grid.min_modulus:
         # polish the reported minimum for the member case

@@ -2,11 +2,13 @@
 
 Nothing here shares code with the library: Gamma comes from a shifted
 Stirling-Bernoulli series (and the C library), series values from brute
-partial summation over libm's gamma, and derivatives from central
-differences.
+partial summation over libm's gamma, derivatives from central
+differences, and polynomial preimages from one numpy.roots call per point.
 """
 
 import math
+
+import numpy as np
 
 # B_2, B_4, ..., B_16
 _BERNOULLI = (
@@ -80,3 +82,17 @@ def central_derivative(fn, z, h=1e-6, order=1):
     if order == 2:
         return (fn(z + h) - 2.0 * fn(z) + fn(z - h)) / (h * h)
     raise ValueError(order)
+
+
+def preimage_roots_reference(coefficients, t):
+    """Roots of t_0 + t_1 x + ... + t_M x^M = t, one numpy.roots call per t.
+
+    numpy.roots drops vanishing leading coefficients, so a trailing zero in
+    `coefficients` lowers the degree.
+    """
+    out = []
+    for value in t:
+        poly = np.array(coefficients, dtype=complex)
+        poly[0] -= value
+        out.append(np.roots(poly[::-1]))
+    return out

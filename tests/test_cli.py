@@ -157,6 +157,15 @@ class TestCheck:
         assert code in (0, 1)
         assert "method=alexander" in out
 
+    @pytest.mark.parametrize("radii", ["0", "-3"])
+    def test_nonpositive_radii_exit_2(self, capsys, tmp_path, radii):
+        src = tmp_path / "f.spec"
+        src.write_text("principal 1 0\n")
+        for cmd in ("check", "boundary-curve"):
+            code, out, err = run(capsys, cmd, str(src), "--radii", radii)
+            assert code == 2 and not out
+            assert "--radii" in err
+
     def test_check_deterministic(self, capsys, tmp_path):
         src = tmp_path / "f.spec"
         src.write_text("builtin extremal alpha=0.25 lambda=0.5 N=32\n")

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -34,7 +35,8 @@ from bml import (
     target_value,
     z_fprime,
 )
-from oracles import central_derivative
+from bml.membership import _crossing_edges, _preimage_roots
+from oracles import central_derivative, preimage_roots_reference
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, kind="spirallike", params=None):
@@ -49,6 +51,26 @@ def _random_specs(rng, count, kind="spirallike"):
         A = float(rng.uniform(B + 0.05, 1.0))
         out.append(_spec(lam, A, B, kind))
     return out
+
+
+def _assert_margins_match_polyline(spec):
+    """Margins at r = 0.999 and 1.001 match the signed distance, within 1e-6,
+    to a 16,384-point polyline through the boundary image."""
+    dense = np.array(
+        [target_value(spec, x) for x in np.exp(2j * np.pi * np.arange(16384) / 16384)]
+    )
+    seg = np.roll(dense, -1) - dense
+    seg2 = np.abs(seg) ** 2
+    xs = np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512)
+    for r, sign in ((0.999, 1.0), (1.001, -1.0)):
+        pts = np.array([target_value(spec, r * x) for x in xs])
+        for lo in range(0, 512, 128):
+            p = pts[lo : lo + 128, None]
+            d = p - dense[None, :]
+            t = np.clip((d * seg.conj()[None, :]).real / seg2[None, :], 0.0, 1.0)
+            dist = np.abs(d - t * seg[None, :]).min(axis=1)
+            margins = np.array([target_region_contains(spec, complex(w))[1] for w in p[:, 0]])
+            assert np.all(np.abs(margins - sign * dist) <= 1e-6)
 
 
 class TestTargetValue:
@@ -103,24 +125,15 @@ class TestTargetRegion:
         # closed-form margins agree with distances to a densely sampled
         # boundary polyline
         for lam, A, B in [(0.0, 0.75, -0.25), (0.5, 0.6, 0.3), (-0.8, 0.9, -0.5)]:
-            spec = _spec(lam, A, B)
-            dense = np.array(
-                [target_value(spec, x) for x in np.exp(2j * np.pi * np.arange(16384) / 16384)]
-            )
-            seg = np.roll(dense, -1) - dense
-            seg2 = np.abs(seg) ** 2
-            xs = np.exp(2j * np.pi * (np.arange(512) + 0.5) / 512)
-            for r, sign in ((0.999, 1.0), (1.001, -1.0)):
-                pts = np.array([target_value(spec, r * x) for x in xs])
-                for lo in range(0, 512, 128):
-                    p = pts[lo : lo + 128, None]
-                    d = p - dense[None, :]
-                    t = np.clip((d * seg.conj()[None, :]).real / seg2[None, :], 0.0, 1.0)
-                    dist = np.abs(d - t * seg[None, :]).min(axis=1)
-                    margins = np.array(
-                        [target_region_contains(spec, complex(w))[1] for w in p[:, 0]]
-                    )
-                    assert np.all(np.abs(margins - sign * dist) <= 1e-6)
+            _assert_margins_match_polyline(_spec(lam, A, B))
+
+    def test_polynomial_margin_matches_geometric_oracle(self):
+        # the first-order preimage margin cos(lam)|Theta'(x)|(1 - |x|) agrees
+        # with the polyline distance just inside and just outside the boundary
+        for lam, coefficients in [(0.0, (1.0, 0.4, 0.1)), (0.5, (1.0, 0.5 + 0.2j, 0.05, -0.03j))]:
+            theta = PolynomialTheta(coefficients)
+            spec = ClassSpec(lam, theta, "spirallike", BMLParams(1, 1, 1, 0))
+            _assert_margins_match_polyline(spec)
 
     def test_polynomial_winding_fallback(self):
         spec = ClassSpec(
@@ -130,6 +143,83 @@ class TestTargetRegion:
         assert inside and margin > 0
         outside, margin = target_region_contains(spec, -10.0)
         assert not outside and margin < 0
+
+
+def _same_roots(a, b, tol):
+    """Root multisets agree: some pairing of a and b is within tol everywhere."""
+    return len(a) == len(b) and min(
+        max(abs(x - y) for x, y in zip(a, perm)) for perm in itertools.permutations(b)
+    ) <= tol
+
+
+class TestPreimage:
+    def test_matches_per_point_roots(self, rng):
+        for degree in (1, 2, 3, 4):
+            for _ in range(3):
+                tail = 0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
+                coefficients = (1.0,) + tuple(tail)
+                t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+                roots = _preimage_roots(PolynomialTheta(coefficients), t)
+                assert roots.shape == (40, degree)
+                reference = preimage_roots_reference(coefficients, t)
+                for got, ref in zip(roots, reference):
+                    assert _same_roots(got, ref, 1e-10)
+
+    def test_trailing_zero_lowers_degree(self, rng):
+        coefficients = (1.0, 0.4, 0.0)
+        t = rng.normal(size=20) + 1j * rng.normal(size=20)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        assert roots.shape == (20, 1)
+        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
+            assert _same_roots(got, ref, 1e-10)
+
+    def test_t0_gives_root_at_origin(self):
+        coefficients = (1.0, 0.5 + 0.2j, 0.05, -0.03j)
+        roots = _preimage_roots(PolynomialTheta(coefficients), [1.0])
+        (ref,) = preimage_roots_reference(coefficients, [1.0])
+        assert _same_roots(roots[0], ref, 1e-10)
+        assert np.min(np.abs(roots[0])) <= 1e-10
+
+    def test_nonfinite_t_rows_are_inf(self):
+        t = np.array([0.5, np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf), 2.0j])
+        roots = _preimage_roots(PolynomialTheta((1.0, 0.4, 0.1)), t)
+        assert np.all(np.isinf(roots[1:4]))
+        assert np.all(np.isfinite(roots[[0, 4]]))
+
+
+def _crossing_edges_loop(indicator, n_radii, n_angles):
+    """Loop reference: angular edges r-major with wrap-around, then radial edges."""
+    ind = indicator.reshape(n_radii, n_angles)
+    finite = np.isfinite(ind)
+    s = np.sign(ind)
+    edges = []
+    for r in range(n_radii):
+        for k in range(n_angles):
+            k2 = (k + 1) % n_angles
+            if finite[r, k] and finite[r, k2] and s[r, k] * s[r, k2] < 0:
+                edges.append((r * n_angles + k, r * n_angles + k2))
+    for r in range(n_radii - 1):
+        for k in range(n_angles):
+            if finite[r, k] and finite[r + 1, k] and s[r, k] * s[r + 1, k] < 0:
+                edges.append((r * n_angles + k, (r + 1) * n_angles + k))
+    return edges
+
+
+class TestCrossingEdges:
+    def test_matches_loop_reference(self, rng):
+        values = np.array([-1.5, -0.2, 0.0, 0.7, 2.0, np.inf, -np.inf, np.nan])
+        for n_radii, n_angles in [(1, 8), (3, 8), (5, 13), (12, 64)]:
+            for _ in range(5):
+                ind = rng.choice(values, size=(n_radii, n_angles))
+                ind[0, -1], ind[0, 0] = -1.0, 1.0  # the wrap edge of the first circle
+                got = _crossing_edges(ind.ravel(), n_radii, n_angles)
+                ref = _crossing_edges_loop(ind.ravel(), n_radii, n_angles)
+                assert [tuple(e) for e in got] == ref
+                assert (n_angles - 1, 0) in ref
+
+    def test_no_crossings(self):
+        got = _crossing_edges(np.ones(24), 3, 8)
+        assert got.shape == (0, 2)
 
 
 class TestPhaseRatio:
