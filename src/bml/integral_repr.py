@@ -134,6 +134,8 @@ def _compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
     """Coefficients of outer(inner(z)) to z^order; inner must annihilate 0."""
     if inner[0] != 0:
         raise ValueError("inner series must have zero constant term")
+    # convolve at inner's true degree: its zero padding made each step O(order^2)
+    inner = inner[: np.flatnonzero(inner).max(initial=0) + 1]
     acc = np.zeros(order + 1, dtype=complex)
     acc[0] = outer[-1]
     for c in outer[-2::-1]:

@@ -609,6 +609,41 @@ def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
     return 0.5 * (za + zb)
 
 
+# entries of the complex block that the convolution scan reuses (1 MiB)
+_SCAN_BLOCK = 1 << 16
+
+
+def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.ndarray):
+    """Smallest |base[i] + ws[j] dirv[i]| over all pairs, as (value, i, j).
+
+    Whole rows of the (sample, direction) matrix pass through one fixed
+    pair of buffers of _SCAN_BLOCK entries (one row if a row is longer),
+    so memory does not grow with the number of samples.  The
+    result is np.argmin's over the full matrix, bit for bit: the first
+    occurrence of the minimum wins, and so does the first NaN.
+    """
+    nx = len(ws)
+    rows = max(1, _SCAN_BLOCK // nx)
+    buf = np.empty((rows, nx), dtype=complex)
+    mod = np.empty((rows, nx))
+    cols = np.flatnonzero(skip)
+    best = (math.inf, 0, 0)
+    for start in range(0, len(base), rows):
+        stop = min(start + rows, len(base))
+        b, v = buf[: stop - start], mod[: stop - start]
+        np.multiply(dirv[start:stop, None], ws, out=b)
+        np.add(b, base[start:stop, None], out=b)
+        np.abs(b, out=v)
+        v[:, cols] = np.inf
+        k = int(np.argmin(v))
+        val = float(v.flat[k])
+        if val < best[0] or math.isnan(val):
+            best = (val, start + k // nx, k % nx)
+            if math.isnan(val):
+                break
+    return best
+
+
 def check_convolution(
     f: SigmaSeries, spec: ClassSpec, grid: GridSpec, which: str = "t1"
 ) -> MembershipReport:
@@ -621,7 +656,8 @@ def check_convolution(
     that direction's distance to the unit circle between neighbouring
     samples brackets an actual zero, which bisection then resolves below
     the threshold.  For the convex kind the same scan is applied to
-    -z f'.
+    -z f'.  The pair scan streams through one block of about 1.5 MiB,
+    so its memory does not grow with the grid.
     """
     _require_sigma(f)
     if which not in ("t1", "t2"):
@@ -635,12 +671,7 @@ def check_convolution(
         raise InconclusiveError("every boundary direction is degenerate")
     base = evaluate_grid(s_base, zs)
     dirv = evaluate_grid(s_dir, zs)
-    vals = np.abs(base[:, None] + dirv[:, None] * ws[None, :])
-    if skipped:
-        vals[:, skip] = np.inf
-    fi = int(np.argmin(vals.ravel()))
-    i0, j0 = divmod(fi, len(xs))
-    best_val = float(vals.ravel()[fi])
+    best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
     best_z, best_x = complex(zs[i0]), complex(xs[j0])
 
     # locate actual zeros bracketed by the sampled annulling directions

@@ -90,12 +90,21 @@ def truncation_order(params: BMLParams, radius: float, tol: float) -> int:
     With t_n = radius^n / (Gamma(K n + theta) (n + a)^s), returns the first
     N >= 1 with t_N < tol and t_{N+1} <= t_N / 2.  Past the ratio threshold
     the tail sum beyond N is bounded by t_N itself, hence below `tol`.
-    Larger tolerances never yield larger N.
+    Larger tolerances never yield larger N.  A certificate that would need
+    Gamma or radius^n beyond the float range raises OverflowError naming
+    the parameters.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError(f"tol must lie in (0, 1), got {tol}")
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
+
+    def out_of_range():
+        return OverflowError(
+            "tail certification needs Gamma or radius^n beyond the float range "
+            f"(K={params.K}, theta={params.theta}, radius={radius}, tol={tol})"
+        )
+
     t_next = radius / _term_denominator(params, 1)
     n = 1
     while True:
@@ -103,11 +112,13 @@ def truncation_order(params: BMLParams, radius: float, tol: float) -> int:
         if params.K * (n + 1) + params.theta > GAMMA_MAX_ARG:
             if t_n == 0.0:
                 return n
-            raise OverflowError(
-                "tail certification needs Gamma beyond the float range "
-                f"(K={params.K}, theta={params.theta}, radius={radius}, tol={tol})"
-            )
-        t_next = radius ** (n + 1) / _term_denominator(params, n + 1)
+            raise out_of_range()
+        try:
+            power = radius ** (n + 1)
+        except OverflowError:
+            # radius^n left the float range before the tail was certified
+            raise out_of_range() from None
+        t_next = power / _term_denominator(params, n + 1)
         if t_n < tol and t_next <= 0.5 * t_n:
             return n
         n += 1

@@ -3,7 +3,9 @@
 Nothing here shares code with the library: Gamma comes from a shifted
 Stirling-Bernoulli series (and the C library), series values from brute
 partial summation over libm's gamma, derivatives from central
-differences, and polynomial preimages from one numpy.roots call per point.
+differences, polynomial preimages from one numpy.roots call per point,
+the convolution scan minimum from one dense matrix and np.argmin, and
+series composition by Horner's rule over full-length convolutions.
 """
 
 import math
@@ -96,3 +98,24 @@ def preimage_roots_reference(coefficients, t):
         poly[0] -= value
         out.append(np.roots(poly[::-1]))
     return out
+
+
+def dense_scan_minimum(base, dirv, ws, skip):
+    """(value, i, j) of the smallest |base[i] + dirv[i] ws[j]|, skipped
+    columns excluded, from the whole matrix at once and np.argmin."""
+    vals = np.abs(base[:, None] + dirv[:, None] * ws[None, :])
+    vals[:, skip] = np.inf
+    fi = int(np.argmin(vals.ravel()))
+    i, j = divmod(fi, len(ws))
+    return float(vals.ravel()[fi]), i, j
+
+
+def compose_reference(outer, inner, order):
+    """Coefficients of outer(inner(z)) to z^order: Horner's rule, each step
+    a full-length np.convolve with the zero-padded inner series."""
+    acc = np.zeros(order + 1, dtype=complex)
+    acc[0] = outer[-1]
+    for c in outer[-2::-1]:
+        acc = np.convolve(acc, inner)[: order + 1]
+        acc[0] += c
+    return acc

@@ -1,6 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import bml
 from bml import extremal_function
 from bml.cli import CLIError, main, parse_function_spec
 
@@ -68,6 +73,12 @@ class TestMlEval:
         assert complex(float(re), float(im)) == pytest.approx(
             complex(np.cos(1.0), np.sin(1.0)), abs=1e-12
         )
+
+    def test_overflowing_series_exits_2(self, capsys):
+        code, out, err = run(capsys, "ml-eval", "--z=200,0")
+        assert code == 2 and not out
+        assert err.startswith("error: tail certification") and "radius=200.0" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_complex_exits_2(self, capsys):
         code, out, err = run(capsys, "ml-eval", "--z", "buzz")
@@ -165,6 +176,30 @@ class TestCheck:
             code, out, err = run(capsys, cmd, str(src), "--radii", radii)
             assert code == 2 and not out
             assert "--radii" in err
+
+    def test_big_grid_check_peak_rss(self, tmp_path):
+        # Linux carries a process's peak RSS across exec into its child, so
+        # the CLI is started from a small launcher, not from this process.
+        launcher = (
+            "import os, subprocess, sys\n"
+            "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "_, status, usage = os.wait4(proc.pid, 0)\n"
+            "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+        )
+        src = tmp_path / "f.spec"
+        src.write_text("builtin extremal alpha=0.5 lambda=0 N=64\n")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bml.__file__)))
+        done = subprocess.run(
+            [
+                sys.executable, "-c", launcher, sys.executable, "-m", "bml.cli",
+                "check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t1",
+                "--angles", "1024", "--xsamples", "1024",
+            ],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        code, rss_kb = map(int, done.stdout.split())
+        assert code == 0
+        assert rss_kb < 100 * 1024  # the dense scan peaked at 415 MB
 
     def test_check_deterministic(self, capsys, tmp_path):
         src = tmp_path / "f.spec"

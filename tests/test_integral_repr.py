@@ -21,7 +21,8 @@ from bml import (
     integrand,
     reconstruct_f,
 )
-from bml.integral_repr import _exp_series
+from bml.integral_repr import _compose, _exp_series, _omega_series, _theta_series
+from oracles import compose_reference
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, params=None):
@@ -149,6 +150,25 @@ class TestExpSeries:
     def test_constant_term(self):
         e = _exp_series(np.array([0.3 + 0.1j, 0.0], dtype=complex))
         assert e[0] == pytest.approx(cmath.exp(0.3 + 0.1j), abs=1e-15)
+
+
+class TestCompose:
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    def test_matches_full_length_convolution(self, seed):
+        rng = np.random.default_rng(seed)
+        order = 256
+        b = rng.uniform(-0.9, 0.5)
+        theta = JanowskiTheta(rng.uniform(b + 0.1, 1.0), b)
+        omega = _scaled_schwarz(rng, 3, 0.9)
+        outer, inner = _theta_series(theta, order), _omega_series(omega, order)
+        ref = compose_reference(outer, inner, order)
+        assert np.abs(ref).max() <= 1.0
+        assert np.abs(_compose(outer, inner, order) - ref).max() <= 1e-15
+
+    def test_zero_inner_gives_constant(self):
+        outer = np.array([0.5, 2.0, 3.0], dtype=complex)
+        out = _compose(outer, np.zeros(9, dtype=complex), 8)
+        assert out[0] == 0.5 and not out[1:].any()
 
 
 class TestReconstruct:

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ from bml import (
     target_value,
     z_fprime,
 )
-from bml.membership import _crossing_edges, _preimage_roots
-from oracles import central_derivative, preimage_roots_reference
+import bml.membership as membership
+from bml.membership import _SCAN_BLOCK, _crossing_edges, _preimage_roots, _scan_minimum
+from oracles import central_derivative, dense_scan_minimum, preimage_roots_reference
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, kind="spirallike", params=None):
@@ -458,6 +460,88 @@ class TestCheckConvolution:
         assert check_direct(bad, spec, fast_grid).verdict == "non-member"
         assert check_convolution(bad, spec, fast_grid, "t1").verdict == "non-member"
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
+
+
+class TestScanMinimum:
+    @staticmethod
+    def _arrays(rng, n_points, n_dirs):
+        def cplx(n):
+            return rng.normal(size=n) + 1j * rng.normal(size=n)
+
+        return cplx(n_points), cplx(n_points), cplx(n_dirs), np.zeros(n_dirs, dtype=bool)
+
+    def test_several_blocks_and_partial_last(self, rng):
+        n_dirs = 96
+        rows = _SCAN_BLOCK // n_dirs
+        for n_points in (1, rows - 1, rows, 3 * rows + 17):
+            base, dirv, ws, skip = self._arrays(rng, n_points, n_dirs)
+            assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
+
+    def test_one_row_per_block_when_directions_exceed_block(self, rng):
+        base, dirv, ws, skip = self._arrays(rng, 5, _SCAN_BLOCK + 3)
+        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
+
+    def test_skip_mask(self, rng):
+        base, dirv, ws, _ = self._arrays(rng, 3000, 64)
+        plain = dense_scan_minimum(base, dirv, ws, np.zeros(64, dtype=bool))
+        skip = rng.random(64) < 0.3
+        skip[plain[2]] = True  # the unmasked minimum must drop out
+        got = _scan_minimum(base, dirv, ws, skip)
+        assert got == dense_scan_minimum(base, dirv, ws, skip)
+        assert not skip[got[2]] and got[0] > plain[0]
+
+    def test_ties_across_blocks_first_wins(self):
+        n_dirs = 64
+        rows = _SCAN_BLOCK // n_dirs
+        n_points = 3 * rows
+        ws = np.full(n_dirs, 1.0 + 0j)
+        ws[[5, 40]] = 0.25  # a tie inside each row as well
+        base = np.full(n_points, 3.0 + 0j)
+        dirv = np.ones(n_points, dtype=complex)
+        late = [rows + 7, 2 * rows + 1]  # the same minimum in blocks 1 and 2
+        base[late] = 0.0
+        skip = np.zeros(n_dirs, dtype=bool)
+        expected = dense_scan_minimum(base, dirv, ws, skip)
+        assert expected == (0.25, late[0], 5)
+        assert _scan_minimum(base, dirv, ws, skip) == expected
+
+    def test_nan_in_later_block_wins(self, rng):
+        n_dirs = 64
+        rows = _SCAN_BLOCK // n_dirs
+        base, dirv, ws, skip = self._arrays(rng, 3 * rows, n_dirs)
+        base[3] = -dirv[3] * ws[9]  # an exact zero in block 0
+        dirv[2 * rows + 4] = complex(math.nan, 0.0)
+        value, i, j = _scan_minimum(base, dirv, ws, skip)
+        ref_value, ref_i, ref_j = dense_scan_minimum(base, dirv, ws, skip)
+        assert math.isnan(value) and math.isnan(ref_value)
+        assert (i, j) == (ref_i, ref_j) == (2 * rows + 4, 0)
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
+    )
+    @pytest.mark.parametrize("tail,verdict", [([0.05, 0.02], "member"), ([0.0, 40.0], "non-member")])
+    def test_reports_match_dense_scan(self, monkeypatch, which, theta, tail, verdict):
+        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = SigmaSeries(1.0, tail)
+        grid = GridSpec()  # 3,072 samples x 512 directions: 24 blocks
+        streamed = check_convolution(f, spec, grid, which)
+        assert streamed.verdict == verdict
+        monkeypatch.setattr(membership, "_scan_minimum", dense_scan_minimum)
+        assert check_convolution(f, spec, grid, which) == streamed
+
+    def test_memory_bounded_on_big_grid(self):
+        spec = _spec(0.0, 0.0, -1.0, params=BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = extremal_function(0.5, 0.0, 64)
+        grid = GridSpec(angles=1024, boundary_x=1024)  # 12,288 x 1,024 pairs
+        tracemalloc.start()
+        try:
+            rep = check_convolution(f, spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.is_member
+        assert peak < 16 * 2**20  # the dense matrix alone was 192 MiB
 
 
 class TestAlexanderRoute:

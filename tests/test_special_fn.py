@@ -143,6 +143,13 @@ class TestTruncationOrder:
         with pytest.raises(ValueError):
             truncation_order(unit_params, 1.0, tol)
 
+    def test_radius_power_overflow_is_diagnosed(self, unit_params):
+        # 200^134 leaves the float range before the tail is certified
+        with pytest.raises(OverflowError, match=r"K=1\.0, theta=1\.0, radius=200\.0, tol=1e-14"):
+            truncation_order(unit_params, 200.0, 1e-14)
+        with pytest.raises(OverflowError, match="float range"):
+            mittag_leffler_2p(1.0, 1.0, 200.0)
+
     def test_radius_domain(self, unit_params):
         with pytest.raises(ValueError):
             truncation_order(unit_params, 0.0, 1e-8)
