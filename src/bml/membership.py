@@ -7,10 +7,12 @@ series f is decided three independent ways:
 * ``check_direct`` samples the phase ratio of the operator image over a
   polar grid and tests containment in the target region (subordination
   reduces to range containment because the target is univalent and both
-  sides agree at the origin).  For a polynomial target, containment of w
-  is decided by solving Theta(x) = theta_need(w) for every root at once
-  (one batched companion-matrix eigenvalue solve): w lies in the region
-  exactly when the root nearest the origin lies in the unit disc;
+  sides agree at the origin; a polynomial target whose derivative
+  vanishes in the disc is refused).  For a polynomial target, containment
+  of w is decided by solving Theta(x) = theta_need(w) for every root of
+  every sample at once (closed forms up to degree 3, one batched
+  companion-matrix eigenvalue solve above): w lies in the region exactly
+  when the root nearest the origin lies in the unit disc;
 * ``check_convolution`` scans the modulus of a direction-indexed
   convolution over (interior point, boundary direction) pairs and looks
   for a vanishing value, with a deterministic local refinement around
@@ -228,12 +230,38 @@ def _trimmed_coefficients(theta: PolynomialTheta) -> np.ndarray:
     return co
 
 
+@lru_cache(maxsize=16)
+def _critical_points(theta: PolynomialTheta) -> np.ndarray:
+    crit = np.roots(np.polyder(_trimmed_coefficients(theta)[::-1]))
+    crit.flags.writeable = False
+    return crit
+
+
+def _require_univalent(theta: ThetaSpec):
+    """Refuse a polynomial target whose derivative vanishes in the open disc.
+
+    Such a Theta is not univalent there, so range containment no longer
+    decides subordination.  For degree <= 2 this is exactly
+    non-univalence; from degree 3 on univalence also needs an injective
+    boundary curve, which is not checked.
+    """
+    if isinstance(theta, PolynomialTheta):
+        for zeta in _critical_points(theta):
+            if abs(zeta) < 1.0:
+                raise ValueError(
+                    f"polynomial target is not univalent on the unit disc: "
+                    f"Theta'(zeta) = 0 at zeta = {complex(zeta)}"
+                )
+
+
 def _preimage_roots(theta: PolynomialTheta, t_need) -> np.ndarray:
     """All M roots of Theta(x) = t for each t of a batch, shape (n, M).
 
-    One eigenvalue solve over the stack of companion matrices of
-    Theta(x) - t; they differ only in the last entry of their first row.
-    Rows whose t is non-finite (or overflows that entry) are inf.
+    The degree picks the solver: closed forms for M <= 3 (see
+    `_closed_form_roots`), otherwise one eigenvalue solve over the stack
+    of companion matrices of Theta(x) - t, which differ only in the last
+    entry of their first row.  Rows whose t is non-finite, or makes that
+    entry or its modulus overflow, are inf.
     """
     co = _trimmed_coefficients(theta)
     t = np.asarray(t_need, dtype=complex).ravel()
@@ -242,14 +270,64 @@ def _preimage_roots(theta: PolynomialTheta, t_need) -> np.ndarray:
         return np.empty((len(t), 0), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         last = -(co[0] - t) / co[-1]
-    finite = np.isfinite(last)
-    comp = np.zeros((len(t), m, m), dtype=complex)
-    comp[:, 0, :] = -co[-2::-1] / co[-1]
-    comp[:, 0, -1] = np.where(finite, last, 0.0)
-    comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-    roots = np.linalg.eigvals(comp)
+        finite = np.isfinite(np.abs(last))
+    last = np.where(finite, last, 0.0)
+    if m == 1:
+        roots = last[:, None]
+    elif m <= 3:
+        roots = _closed_form_roots(co[-2:0:-1] / co[-1], -last)
+    else:
+        comp = np.zeros((len(t), m, m), dtype=complex)
+        comp[:, 0, :-1] = -co[-2:0:-1] / co[-1]
+        comp[:, 0, -1] = last
+        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+        roots = np.linalg.eigvals(comp)
     roots[~finite] = np.inf
     return roots
+
+
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
+
+
+def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
+    """Roots of x^M + hi[0] x^(M-1) + ... + hi[-1] x + c0 for M = 2, 3, per c0.
+
+    x = s y with s a per-row power of two above the Fujiwara bound, so
+    every coefficient of the monic polynomial in y has modulus <= 1 and
+    nothing overflows.  The quadratic formula (square root signed against
+    cancellation) or Cardano's formula (the larger of the two cubes) gives
+    y; one Newton step then polishes each root where it is finite.
+    """
+    m = len(hi) + 1
+    fixed = max(abs(a) ** (1.0 / j) for j, a in enumerate(hi, 1))
+    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(c0) ** (1.0 / m), fixed))[1])
+    inv = 1.0 / s
+    coef = [np.full_like(c0, a) for a in hi] + [c0]
+    for j in range(m):  # coefficient k is divided by s^(k+1), exactly
+        coef[j:] = [c * inv for c in coef[j:]]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if m == 2:
+            b, c = coef
+            d = np.sqrt(b * b - 4.0 * c)
+            q = -0.5 * (b + np.where((b.conj() * d).real < 0.0, -d, d))
+            y = np.stack([q, np.where(q == 0.0, 0.0, c / q)], axis=1)
+        else:
+            a, b, c = coef
+            a3 = a / 3.0
+            p = b - a * a3
+            h = 0.5 * (a3 * (b - 2.0 * a3 * a3) - c)  # -q/2 of the depressed cubic
+            r = np.sqrt(h * h + p * p * p / 27.0)
+            cube = np.where(np.abs(h + r) >= np.abs(h - r), h + r, h - r)
+            u = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
+            u = u[:, None] * _CUBE_ROOTS_OF_UNITY
+            y = u - np.where(u == 0.0, 0.0, p[:, None] / (3.0 * u)) - a3[:, None]
+        val, der = np.ones_like(y), np.zeros_like(y)
+        for c in coef:
+            der = der * y + val
+            val = val * y + c[:, None]
+        step = val / der
+    y = np.where(np.isfinite(step), y - step, y)
+    return y * s[:, None]
 
 
 def _preimage(theta: PolynomialTheta, t_need, radius: float) -> np.ndarray:
@@ -294,7 +372,8 @@ def target_region_contains(spec: ClassSpec, w: complex):
     B = -1.  For a polynomial target, w is inside exactly when the root of
     Theta(x) = theta_need(w) nearest the origin has |x| < 1; this is exact
     range containment for any polynomial, but it equals subordination only
-    for a univalent Theta, which is not checked.  Its margin
+    for a univalent Theta, which is not checked here (the checks refuse a
+    Theta whose derivative vanishes in the disc).  Its margin
     cos(lam) |Theta'(x)| (1 - |x|) is the distance to the boundary to
     first order.  Boundary contact counts as outside (the classes are open).
     """
@@ -382,6 +461,7 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
     makes the verdict untrustworthy and raises `InconclusiveError`.
     """
     _require_sigma(f)
+    _require_univalent(spec.theta)
     zs = grid.z_points()
     q, skip = _phase_grid(f, spec, zs, grid.min_modulus)
     skipped = int(skip.sum())
@@ -594,7 +674,11 @@ def _crossing_edges(indicator: np.ndarray, n_radii: int, n_angles: int) -> np.nd
 
 
 def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
-    """Parallel sign bisection along grid segments bracketing zero contours."""
+    """Parallel sign bisection along grid segments bracketing zero contours.
+
+    At most 80 steps; it stops early once a step leaves every segment
+    unchanged, since each later step would repeat it.
+    """
     za = np.array(za, dtype=complex)
     zb = np.array(zb, dtype=complex)
     sa = np.array(sa, dtype=float)
@@ -604,8 +688,10 @@ def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
         sm = _inside_indicator(spec, b, d, which)
         sm = np.where(np.isfinite(sm), sm, 1.0)
         take_left = sa * sm < 0
-        zb = np.where(take_left, mid, zb)
-        za = np.where(take_left, za, mid)
+        za_next, zb_next = np.where(take_left, za, mid), np.where(take_left, mid, zb)
+        if np.array_equal(za_next, za) and np.array_equal(zb_next, zb):
+            break
+        za, zb = za_next, zb_next
     return 0.5 * (za + zb)
 
 
@@ -660,6 +746,7 @@ def check_convolution(
     so its memory does not grow with the grid.
     """
     _require_sigma(f)
+    _require_univalent(spec.theta)
     if which not in ("t1", "t2"):
         raise ValueError(f"which must be 't1' or 't2', got {which!r}")
     s_base, s_dir = _scan_series(f, spec, which)

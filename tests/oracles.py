@@ -4,8 +4,9 @@ Nothing here shares code with the library: Gamma comes from a shifted
 Stirling-Bernoulli series (and the C library), series values from brute
 partial summation over libm's gamma, derivatives from central
 differences, polynomial preimages from one numpy.roots call per point,
-the convolution scan minimum from one dense matrix and np.argmin, and
-series composition by Horner's rule over full-length convolutions.
+the convolution scan minimum from one dense matrix and np.argmin,
+series composition by Horner's rule over full-length convolutions, and
+sign bisection by a fixed 80 steps over a caller-supplied indicator.
 """
 
 import math
@@ -119,3 +120,22 @@ def compose_reference(outer, inner, order):
         acc = np.convolve(acc, inner)[: order + 1]
         acc[0] += c
     return acc
+
+
+def bisect_reference(indicator, za, zb, sa, steps=80):
+    """Parallel sign bisection of segments [za, zb], always `steps` steps.
+
+    `indicator(mid)` gives the signed value at the midpoints (non-finite
+    counts as +1); a segment keeps its left half where the sign differs
+    from `sa` at its left end.
+    """
+    za = np.array(za, dtype=complex)
+    zb = np.array(zb, dtype=complex)
+    sa = np.array(sa, dtype=float)
+    for _ in range(steps):
+        mid = 0.5 * (za + zb)
+        sm = indicator(mid)
+        sm = np.where(np.isfinite(sm), sm, 1.0)
+        left = sa * sm < 0
+        za, zb = np.where(left, za, mid), np.where(left, mid, zb)
+    return 0.5 * (za + zb)

@@ -16,6 +16,7 @@ from bml import (
     JanowskiTheta,
     PoleError,
     PolynomialTheta,
+    SchwarzSpec,
     SigmaSeries,
     SingularPointError,
     alexander,
@@ -28,17 +29,24 @@ from bml import (
     convolution_value,
     epsilon_t1,
     evaluate,
+    evaluate_grid,
     extremal_function,
     hadamard,
     kernel_series,
     phase_ratio,
+    reconstruct_f,
     target_region_contains,
     target_value,
     z_fprime,
 )
 import bml.membership as membership
 from bml.membership import _SCAN_BLOCK, _crossing_edges, _preimage_roots, _scan_minimum
-from oracles import central_derivative, dense_scan_minimum, preimage_roots_reference
+from oracles import (
+    bisect_reference,
+    central_derivative,
+    dense_scan_minimum,
+    preimage_roots_reference,
+)
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, kind="spirallike", params=None):
@@ -147,11 +155,20 @@ class TestTargetRegion:
         assert not outside and margin < 0
 
 
-def _same_roots(a, b, tol):
-    """Root multisets agree: some pairing of a and b is within tol everywhere."""
+def _same_roots(a, b, tol, relative=False):
+    """Root multisets agree: some pairing of a and b is within tol everywhere
+    (within tol * max(1, |y|) for each reference root y if `relative`)."""
+
+    def err(x, y):
+        return abs(x - y) / (max(1.0, abs(y)) if relative else 1.0)
+
     return len(a) == len(b) and min(
-        max(abs(x - y) for x, y in zip(a, perm)) for perm in itertools.permutations(b)
+        max(err(x, y) for x, y in zip(a, perm)) for perm in itertools.permutations(b)
     ) <= tol
+
+
+# degrees 1, 2 and 3: the targets of the closed forms
+_CLOSED_FORM_TARGETS = [(1.0, 0.4), (1.0, 0.4, 0.1), (1.0, 0.5 + 0.2j, 0.05, -0.03j)]
 
 
 class TestPreimage:
@@ -176,17 +193,78 @@ class TestPreimage:
             assert _same_roots(got, ref, 1e-10)
 
     def test_t0_gives_root_at_origin(self):
-        coefficients = (1.0, 0.5 + 0.2j, 0.05, -0.03j)
-        roots = _preimage_roots(PolynomialTheta(coefficients), [1.0])
-        (ref,) = preimage_roots_reference(coefficients, [1.0])
-        assert _same_roots(roots[0], ref, 1e-10)
-        assert np.min(np.abs(roots[0])) <= 1e-10
+        for coefficients in _CLOSED_FORM_TARGETS:
+            roots = _preimage_roots(PolynomialTheta(coefficients), [1.0])
+            (ref,) = preimage_roots_reference(coefficients, [1.0])
+            assert _same_roots(roots[0], ref, 1e-10)
+            assert np.min(np.abs(roots[0])) <= 1e-10
 
     def test_nonfinite_t_rows_are_inf(self):
         t = np.array([0.5, np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf), 2.0j])
-        roots = _preimage_roots(PolynomialTheta((1.0, 0.4, 0.1)), t)
-        assert np.all(np.isinf(roots[1:4]))
-        assert np.all(np.isfinite(roots[[0, 4]]))
+        for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
+            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            assert roots.shape == (5, len(coefficients) - 1)
+            assert np.all(np.isinf(roots[1:4]))
+            assert np.all(np.isfinite(roots[[0, 4]]))
+
+    def test_overflowing_modulus_rows_are_inf(self):
+        # each part of the constant term -(1 - t)/t_M is finite, its modulus is not
+        for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
+            t = np.array([-coefficients[-1] * 1.5e308 * (1.0 + 1.0j), 0.5])
+            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            assert np.all(np.isinf(roots[0])) and np.all(np.isfinite(roots[1]))
+
+    # degrees 1-3 are solved in closed form, degree 4 by companion eigenvalues
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_huge_t_gives_finite_roots(self, rng, degree):
+        coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
+        for scale in (1e100, 1e300):
+            t = scale * np.exp(2j * np.pi * rng.uniform(size=8))
+            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            assert np.all(np.isfinite(roots))
+            for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
+                assert _same_roots(got, ref, 1e-10, relative=True)
+
+    def test_closed_forms_are_backward_stable(self, rng):
+        # |Theta(x) - t| relative to sum |t_k x^k| + |t| stays at a few
+        # roundings (companion eigenvalues reach 3.1e-15 on these targets,
+        # Cardano without its Newton step 5.7e-15)
+        for degree in (2, 3):
+            worst = 0.0
+            for _ in range(200):
+                coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
+                t = 2.0 * (rng.normal(size=50) + 1j * rng.normal(size=50))
+                x = _preimage_roots(PolynomialTheta(coefficients), t)
+                poly = np.array(coefficients[::-1])
+                scale = np.polyval(np.abs(poly), np.abs(x)) + np.abs(t)[:, None]
+                worst = max(worst, np.max(np.abs(np.polyval(poly, x) - t[:, None]) / scale))
+            assert worst <= 2e-15
+
+    def test_tiny_leading_coefficient(self, rng):
+        coefficients = (1.0, 0.4, 1e-12)  # one root near -2.5, one near -4e11
+        t = rng.normal(size=20) + 1j * rng.normal(size=20)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
+            assert _same_roots(got, ref, 1e-10, relative=True)
+
+    @pytest.mark.parametrize("coefficients", _CLOSED_FORM_TARGETS[1:])
+    def test_near_critical_value(self, coefficients):
+        # 1e-9 away from Theta(zeta) with Theta'(zeta) = 0 two roots nearly
+        # coincide, and both methods lose digits to the conditioning
+        poly = np.array(coefficients[::-1], dtype=complex)
+        for zeta in np.roots(np.polyder(poly)):
+            t = np.polyval(poly, zeta) + 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
+                assert _same_roots(got, ref, 1e-8, relative=True)
+
+    def test_degree_four_is_the_companion_eigenvalue_solve(self, rng):
+        coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4)))
+        t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
+        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
+            assert np.array_equal(got, ref)  # same matrices, same LAPACK call
 
 
 def _crossing_edges_loop(indicator, n_radii, n_angles):
@@ -462,6 +540,37 @@ class TestCheckConvolution:
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
 
 
+class TestBisectZeroBatch:
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
+    )
+    def test_early_stop_matches_all_80_steps(self, monkeypatch, fast_grid, theta):
+        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        s_base, s_dir = membership._scan_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
+        zs = fast_grid.z_points()
+        base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+        indicator = membership._inside_indicator(spec, base, dirv, "t1")
+        ia, ib = _crossing_edges(indicator, len(fast_grid.radii), fast_grid.angles).T
+        assert len(ia) > 0  # a non-member: its zero contour crosses the grid
+
+        def at(mid):
+            return membership._inside_indicator(
+                spec, *membership._eval_pair(s_base, s_dir, mid), "t1"
+            )
+
+        ref = bisect_reference(at, zs[ia], zs[ib], indicator[ia])
+        inside_indicator, steps = membership._inside_indicator, []
+
+        def counted(*args):
+            steps.append(1)
+            return inside_indicator(*args)
+
+        monkeypatch.setattr(membership, "_inside_indicator", counted)
+        got = membership._bisect_zero_batch(s_base, s_dir, spec, "t1", zs[ia], zs[ib], indicator[ia])
+        assert got.tobytes() == ref.tobytes()  # bit for bit
+        assert len(steps) < 80
+
+
 class TestScanMinimum:
     @staticmethod
     def _arrays(rng, n_points, n_dirs):
@@ -627,3 +736,70 @@ class TestConstructNonmember:
     def test_no_scalable_coefficient(self, fast_grid):
         with pytest.raises(ConstructionError):
             construct_nonmember(SigmaSeries(1.0, []), _spec(), fast_grid)
+
+
+class TestUnivalenceGate:
+    def test_critical_point_in_disc_is_refused(self, fast_grid):
+        theta = PolynomialTheta((1.0, 1.0, 1.0))  # Theta'(-1/2) = 0
+        f = SigmaSeries(1.0, [0.05, 0.02])
+        for kind in ("spirallike", "convex"):
+            spec = ClassSpec(0.0, theta, kind, BMLParams(1, 1, 1, 0))
+            checks = [
+                check_direct,
+                construct_nonmember,
+                lambda f, spec, grid: check_convolution(f, spec, grid, "t1"),
+                lambda f, spec, grid: check_convolution(f, spec, grid, "t2"),
+            ] + ([check_alexander] if kind == "convex" else [])
+            for check in checks:
+                with pytest.raises(ValueError, match=r"zeta = \(-0\.5\+0j\)"):
+                    check(f, spec, fast_grid)
+
+
+def _univalent_polynomial(rng, degree):
+    """1 + t_1 z + ... + t_M z^M with sum_{k>=2} k |t_k| < |t_1|: then
+    Re(Theta'/t_1) > 0 on the disc, so Theta is univalent there
+    (Noshiro-Warschawski)."""
+    t1 = rng.uniform(0.4, 1.0) * cmath.exp(1j * rng.uniform(-np.pi, np.pi))
+    weights = rng.uniform(0.2, 1.0, size=degree - 1)
+    moduli = rng.uniform(0.2, 0.8) * abs(t1) * weights / weights.sum() / np.arange(2, degree + 1)
+    phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=degree - 1))
+    return (1.0, t1) + tuple(moduli * phases)
+
+
+def test_methods_agree_on_univalent_polynomial_classes():
+    """Direct, t1, t2 and (convex) Alexander verdicts agree with the label on
+    members rebuilt from a Schwarz function and on constructed non-members,
+    for univalent polynomial targets of degrees 2-4 (4 takes the
+    eigenvalue solve)."""
+    rng = np.random.default_rng(4)
+    grid = GridSpec()
+    nonmember_grid = GridSpec(radii=grid.radii[-1:], angles=16)  # samples of `grid`
+    disagreements = []
+    for i in range(16):
+        kind, degree = ("spirallike", "convex")[i % 2], 2 + (i // 2) % 3
+        params = BMLParams(
+            rng.uniform(0.8, 1.5), rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+        )
+        theta = PolynomialTheta(_univalent_polynomial(rng, degree))
+        spec = ClassSpec(rng.uniform(-1.2, 1.2), theta, kind, params)
+        # a Schwarz function with coefficient moduli summing to rho < 1;
+        # convex members need a zero linear coefficient
+        weights = rng.uniform(0.2, 1.0, size=2)
+        omega = rng.uniform(0.3, 0.7) * weights / weights.sum()
+        omega = omega * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        omega = SchwarzSpec(((0.0,) if kind == "convex" else ()) + tuple(omega))
+        member = reconstruct_f(spec, omega, build_kernel(params, 64), 64, kind)
+        nonmember = construct_nonmember(member, spec, nonmember_grid)
+        checks = {
+            "direct": check_direct,
+            "t1": lambda f, s, g: check_convolution(f, s, g, "t1"),
+            "t2": lambda f, s, g: check_convolution(f, s, g, "t2"),
+        }
+        if kind == "convex":
+            checks["alexander"] = check_alexander
+        for f, label in ((member, "member"), (nonmember, "non-member")):
+            for name, check in checks.items():
+                verdict = check(f, spec, grid).verdict
+                if verdict != label:
+                    disagreements.append((i, degree, kind, label, name, verdict))
+    assert disagreements == []
