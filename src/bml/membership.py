@@ -496,10 +496,19 @@ def check_alexander(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> Membersh
 # convolution criteria
 
 
-def epsilon_t1(x: complex, spec: ClassSpec) -> complex:
-    """Direction coefficient (2 - E)/(1 - E) with E(x) = -Phi(x), |x| = 1."""
+def _require_which(which: str):
+    if which not in ("t1", "t2"):
+        raise ValueError(f"which must be 't1' or 't2', got {which!r}")
+
+
+def _require_on_circle(x: complex):
     if abs(abs(x) - 1.0) > 1e-6:
         raise ValueError(f"direction point must sit on the unit circle, got {x!r}")
+
+
+def epsilon_t1(x: complex, spec: ClassSpec) -> complex:
+    """Direction coefficient (2 - E)/(1 - E) with E(x) = -Phi(x), |x| = 1."""
+    _require_on_circle(x)
     e = _direction_value(spec, x)
     if abs(1.0 - e) < _DEGENERATE_TOL:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
@@ -514,17 +523,16 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
     operator weights folded in), so hadamard(f, kernel) reproduces
     z G'(z) + E G(z) coefficientwise.
     """
+    _require_which(which)
     n = np.arange(1, order + 1)
     if which == "t1":
         eps = epsilon_t1(x, spec)
         return SigmaSeries(1.0, (n + 1) - eps * n)
-    if which == "t2":
-        e = _direction_value(spec, x)
-        if abs(1.0 - e) < _DEGENERATE_TOL:
-            raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-        h = _cached_kernel(spec.params, order).h
-        return SigmaSeries(e - 1.0, (n - 1 + e) * h)
-    raise ValueError(f"which must be 't1' or 't2', got {which!r}")
+    e = _direction_value(spec, x)
+    if abs(1.0 - e) < _DEGENERATE_TOL:
+        raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
+    h = _cached_kernel(spec.params, order).h
+    return SigmaSeries(e - 1.0, (n - 1 + e) * h)
 
 
 def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str):
@@ -699,32 +707,119 @@ def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
 _SCAN_BLOCK = 1 << 16
 
 
+def _direction_clusters(ws: np.ndarray, live: np.ndarray):
+    """Centre weight, radius and smallest modulus of each cluster of live directions.
+
+    The live directions are cut into runs of isqrt(2 len(ws)) consecutive
+    ones (the last run may be shorter); a run's centre is its middle
+    direction and its radius the largest |w_j - w_centre| over the run.
+    That length balances the two passes of `_scan_minimum`: the bound
+    pass computes one modulus per cluster and row, while the rows left to
+    the full scan grow with the radii, that is with the run length.
+    """
+    size = max(1, math.isqrt(2 * len(ws)))
+    starts = np.arange(0, len(live), size)
+    counts = np.diff(starts, append=len(live))
+    w = ws[live]
+    centre = w[starts + counts // 2]
+    radius = np.maximum.reduceat(np.abs(w - np.repeat(centre, counts)), starts)
+    smallest = np.minimum.reduceat(np.abs(w), starts)
+    return centre, radius, smallest
+
+
+def _kept_rows(base, dirv, ws, skip, cbuf: np.ndarray, fbuf: np.ndarray) -> np.ndarray:
+    """Rows of the scan that can hold its minimum or a NaN, ascending.
+
+    The bound pass of `_scan_minimum`, streamed through its buffers.  For
+    a cluster with centre w_c, radius rho and smallest modulus m, every
+    live j in it has, by the triangle inequality both ways,
+
+        |b_i + w_j d_i| >= max(|b_i + w_c d_i| - rho |d_i|,  m |d_i| - |b_i|);
+
+    the lower bound L_i of row i is the least of these over the clusters,
+    and V_i, its least centre modulus, is a value the scan itself
+    computes.  Row i is dropped when L_i - tau_i > U = min_k (V_k + tau_k).
+
+    Rounding (eps = 2^-52, s_i = |b_i| + W |d_i|, W the largest live |w|):
+    a modulus the scan computes for row i is within 3 eps s_i of the exact
+    |b_i + w_j d_i| (complex product sqrt(5)/2 eps, sum 1/2 eps, modulus
+    eps, each relative to at most s_i).  A computed cluster bound is
+    within 11 eps s_i of an exact one: 3 for the centre modulus, 6 for
+    rho |d_i| (rho <= 2W), 2 for the difference; the modulus bound is
+    within 3.  Forming L_i - tau_i or V_i + tau_i moves a value by at
+    most 2 eps s_i more.  With tau_i = 32 eps s_i, every modulus of a
+    dropped row exceeds U, and U exceeds the modulus the full scan
+    computes at the best centre of a row that is kept, so no dropped row
+    can hold the minimum or tie it.  32 s_i is formed before the factor
+    eps: where it overflows, some modulus of the row might too, and
+    tau_i = inf keeps the row.  Below that nothing overflows and finite
+    inputs give no NaN; a NaN or inf input reaches L, tau or U and makes
+    the test false, so its row (all rows, when W or U is not finite) is
+    kept.
+    """
+    live = np.flatnonzero(~skip)
+    if len(live) == 0 or len(base) == 0:
+        return np.arange(len(base))
+    # NaN and overflow below are meant: they keep the row
+    with np.errstate(invalid="ignore", over="ignore"):
+        centre, radius, smallest = _direction_clusters(ws, live)
+        big_w = np.abs(ws[live]).max()
+        lower = np.empty(len(base))  # L_i - tau_i
+        upper = math.inf  # U
+        k = len(centre)
+        rows = len(fbuf) // k
+        for start in range(0, len(base), rows):
+            stop = min(start + rows, len(base))
+            absb, absd = np.abs(base[start:stop]), np.abs(dirv[start:stop])
+            tau = np.finfo(float).eps * (32.0 * (absb + big_w * absd))
+            n = (stop - start) * k
+            c, v = cbuf[:n].reshape(-1, k), fbuf[:n].reshape(-1, k)
+            # once v holds the moduli, c's memory serves as two float blocks
+            t = cbuf.view(float)[: 2 * n].reshape(2, -1, k)
+            np.multiply(dirv[start:stop, None], centre, out=c)
+            np.add(c, base[start:stop, None], out=c)
+            np.abs(c, out=v)
+            upper = np.minimum(upper, np.min(v.min(axis=1) + tau))
+            np.multiply(absd[:, None], radius, out=t[0])
+            np.subtract(v, t[0], out=v)
+            np.multiply(absd[:, None], smallest, out=t[1])
+            np.subtract(t[1], absb[:, None], out=t[1])
+            np.maximum(v, t[1], out=v)
+            np.subtract(v.min(axis=1), tau, out=lower[start:stop])
+        return np.flatnonzero(~(lower > upper))
+
+
 def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.ndarray):
     """Smallest |base[i] + ws[j] dirv[i]| over all pairs, as (value, i, j).
 
-    Whole rows of the (sample, direction) matrix pass through one fixed
-    pair of buffers of _SCAN_BLOCK entries (one row if a row is longer),
-    so memory does not grow with the number of samples.  The
-    result is np.argmin's over the full matrix, bit for bit: the first
-    occurrence of the minimum wins, and so does the first NaN.
+    Branch and bound in two passes over one fixed pair of buffers of
+    _SCAN_BLOCK entries (one row if a row is longer), so memory does not
+    grow with the number of samples: `_kept_rows` bounds every row from
+    below through clusters of directions and drops the rows provably
+    above a value the scan attains, then whole kept rows go through the
+    full scan.  The result is np.argmin's over the full matrix, bit for
+    bit: the first occurrence of the minimum wins, and so does the first
+    NaN.
     """
     nx = len(ws)
-    rows = max(1, _SCAN_BLOCK // nx)
-    buf = np.empty((rows, nx), dtype=complex)
-    mod = np.empty((rows, nx))
+    cbuf = np.empty(max(_SCAN_BLOCK, nx), dtype=complex)
+    fbuf = np.empty(len(cbuf))
+    kept = _kept_rows(base, dirv, ws, skip, cbuf, fbuf)
+    rows = len(cbuf) // nx
     cols = np.flatnonzero(skip)
     best = (math.inf, 0, 0)
-    for start in range(0, len(base), rows):
-        stop = min(start + rows, len(base))
-        b, v = buf[: stop - start], mod[: stop - start]
-        np.multiply(dirv[start:stop, None], ws, out=b)
-        np.add(b, base[start:stop, None], out=b)
+    for start in range(0, len(kept), rows):
+        idx = kept[start : start + rows]
+        n = len(idx) * nx
+        b, v = cbuf[:n].reshape(-1, nx), fbuf[:n].reshape(-1, nx)
+        np.multiply(dirv[idx, None], ws, out=b)
+        np.add(b, base[idx, None], out=b)
         np.abs(b, out=v)
         v[:, cols] = np.inf
         k = int(np.argmin(v))
         val = float(v.flat[k])
         if val < best[0] or math.isnan(val):
-            best = (val, start + k // nx, k % nx)
+            best = (val, int(idx[k // nx]), k % nx)
             if math.isnan(val):
                 break
     return best
@@ -742,13 +837,16 @@ def check_convolution(
     that direction's distance to the unit circle between neighbouring
     samples brackets an actual zero, which bisection then resolves below
     the threshold.  For the convex kind the same scan is applied to
-    -z f'.  The pair scan streams through one block of about 1.5 MiB,
-    so its memory does not grow with the grid.
+    -z f'.  The pair minimum comes from a bound and a scan: clusters of
+    neighbouring directions bound every interior sample from below, and
+    only the samples whose bound does not clear a value the scan attains
+    are scanned over every direction; minimum, witness and ties are those
+    of the full scan, bit for bit.  Both passes stream through one block
+    of about 1.5 MiB, so their memory does not grow with the grid.
     """
     _require_sigma(f)
     _require_univalent(spec.theta)
-    if which not in ("t1", "t2"):
-        raise ValueError(f"which must be 't1' or 't2', got {which!r}")
+    _require_which(which)
     s_base, s_dir = _scan_series(f, spec, which)
     zs = grid.z_points()
     xs = grid.x_points()
@@ -804,7 +902,9 @@ def check_convolution(
 
 
 def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, which: str):
-    """Scan value at one (z, x) pair, for report re-evaluation."""
+    """Scan value at one (z, x) pair with |x| = 1, for report re-evaluation."""
+    _require_which(which)
+    _require_on_circle(x)
     s_base, s_dir = _scan_series(f, spec, which)
     ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
     if skip[0]:

@@ -18,11 +18,10 @@ from .special_fn import BMLParams, GAMMA_MAX_ARG, gamma_pos
 
 @dataclass(frozen=True)
 class OperatorKernel:
-    """Weights h_1..h_N plus the same data packaged as a series (principal 1)."""
+    """Weights h_1..h_N of the operator with parameters `params`."""
 
     params: BMLParams
     h: np.ndarray
-    series: SigmaSeries
 
     def __post_init__(self):
         h = np.asarray(self.h, dtype=float).reshape(-1).copy()
@@ -30,6 +29,11 @@ class OperatorKernel:
             raise ValueError("kernel weights must be a nonempty positive sequence")
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
+
+    @property
+    def series(self) -> SigmaSeries:
+        """The weights packaged as a series with principal coefficient 1."""
+        return SigmaSeries(1.0, self.h)
 
 
 def coefficient_h(n: int, params: BMLParams) -> float:
@@ -57,7 +61,7 @@ def build_kernel(params: BMLParams, order: int) -> OperatorKernel:
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     h = np.array([coefficient_h(n, params) for n in range(1, order + 1)])
-    return OperatorKernel(params, h, SigmaSeries(1.0, h))
+    return OperatorKernel(params, h)
 
 
 def apply_operator(f: SigmaSeries, kernel: OperatorKernel) -> SigmaSeries:

@@ -40,7 +40,13 @@ from bml import (
     z_fprime,
 )
 import bml.membership as membership
-from bml.membership import _SCAN_BLOCK, _crossing_edges, _preimage_roots, _scan_minimum
+from bml.membership import (
+    _SCAN_BLOCK,
+    _crossing_edges,
+    _kept_rows,
+    _preimage_roots,
+    _scan_minimum,
+)
 from oracles import (
     bisect_reference,
     central_derivative,
@@ -500,6 +506,19 @@ class TestCheckConvolution:
         with pytest.raises(ValueError):
             check_convolution(SigmaSeries(1.0, []), _spec(), fast_grid, "t3")
 
+    def test_convolution_value_refuses_bad_which_and_direction(self):
+        f, spec = SigmaSeries(1.0, [0.1, 0.05]), _spec(0.2, 0.5, -0.3)
+        with pytest.raises(ValueError, match="which must be"):
+            convolution_value(f, spec, 0.5, 1j, "bogus")
+        for which in ("t1", "t2"):
+            with pytest.raises(ValueError, match="unit circle"):
+                convolution_value(f, spec, 0.5, 3.0, which)
+            # the same 1e-6 tolerance as epsilon_t1
+            near = convolution_value(f, spec, 0.5, 1j * (1.0 + 1e-7), which)
+            assert abs(near - convolution_value(f, spec, 0.5, 1j, which)) < 1e-5
+        with pytest.raises(ValueError, match="unit circle"):
+            epsilon_t1(3.0, spec)
+
     def test_nonmember_witness_reproduces_margin(self, fast_grid):
         spec = _spec(0.0, 0.0, -1.0)
         bad = construct_nonmember(extremal_function(0.5, 0.0, 16), spec, fast_grid)
@@ -624,6 +643,133 @@ class TestScanMinimum:
         ref_value, ref_i, ref_j = dense_scan_minimum(base, dirv, ws, skip)
         assert math.isnan(value) and math.isnan(ref_value)
         assert (i, j) == (ref_i, ref_j) == (2 * rows + 4, 0)
+
+    @staticmethod
+    def _curve_inputs(theta, which, grid, tail=(0.05, 0.02)):
+        """Scan inputs of a real check: base, direction and weight curves."""
+        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        s_base, s_dir = membership._scan_series(SigmaSeries(1.0, list(tail)), spec, which)
+        zs = grid.z_points()
+        ws, skip = membership._direction_weights(spec, grid.x_points(), which)
+        return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs), ws, skip
+
+    @staticmethod
+    def _assert_same(got, ref):
+        """Equal (value, i, j), a NaN value matching a NaN."""
+        assert got[1:] == ref[1:]
+        assert got[0] == ref[0] or (math.isnan(got[0]) and math.isnan(ref[0]))
+
+    @staticmethod
+    def _kept(base, dirv, ws, skip):
+        size = max(_SCAN_BLOCK, len(ws))
+        return _kept_rows(base, dirv, ws, skip, np.empty(size, dtype=complex), np.empty(size))
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize(
+        "theta",
+        [JanowskiTheta(0.5, -0.3), JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))],
+        ids=["disc", "half-plane", "polynomial"],
+    )
+    @pytest.mark.parametrize(
+        "grid",
+        # two radii keep the dense reference of the 1024 x 1024 grid near 100 MB
+        [GridSpec(), GridSpec(radii=(0.495, 0.99), angles=1024, boundary_x=1024)],
+        ids=["default", "1024x1024"],
+    )
+    @pytest.mark.parametrize("tail", [(0.05, 0.02), (0.0, 40.0)], ids=["member", "non-member"])
+    def test_real_weight_curves_match_dense(self, which, theta, grid, tail):
+        base, dirv, ws, skip = self._curve_inputs(theta, which, grid, tail)
+        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
+
+    @pytest.mark.parametrize("last", [0.5, np.nextafter(0.5, 0.0)], ids=["tie", "one-ulp-lower"])
+    def test_one_ulp_apart_and_tied_rows_across_kept_blocks(self, rng, last):
+        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
+        n_rows = 1000
+        base = 20.0 + rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
+        dirv = rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
+        skip[:3] = True
+        # 400 constant rows 1 to 3 ulp above 0.5 stay within the rounding
+        # allowance, so the kept rows fill several blocks of the full scan
+        flat = np.arange(100, 900, 2)
+        dirv[flat] = 0.0
+        base[flat] = 0.5 + (1 + flat % 3) * np.spacing(0.5)
+        base[[301, 777]] = 0.5, last
+        dirv[[301, 777]] = 0.0
+        kept = self._kept(base, dirv, ws, skip)
+        assert np.isin([301, 777], kept).all() and len(kept) > 2 * (_SCAN_BLOCK // len(ws))
+        expected = dense_scan_minimum(base, dirv, ws, skip)
+        assert expected == ((last, 777, 3) if last < 0.5 else (0.5, 301, 3))
+        assert _scan_minimum(base, dirv, ws, skip) == expected
+
+    def test_rounding_allowance_keeps_row_whose_bound_overshoots_by_one_ulp(self):
+        # Row 0's cluster bound (b + w1) - |w1 - w0| rounds to 1 ulp above its
+        # minimum b + w0; row 1 ties that minimum at a cluster centre.  Only
+        # the rounding allowance keeps row 0, whose minimum comes first.
+        b, w0, w1 = 0.41432055203525664, -0.19460692976183436, 0.038336888078551824
+        x = b + w0
+        assert (b + w1) - abs(w1 - w0) == np.nextafter(x, 1.0)
+        base = np.array([b, x], dtype=complex)
+        dirv = np.array([1.0, 0.0], dtype=complex)
+        ws = np.array([w0, w1], dtype=complex)
+        skip = np.zeros(2, dtype=bool)
+        assert dense_scan_minimum(base, dirv, ws, skip) == (x, 0, 0)
+        assert _scan_minimum(base, dirv, ws, skip) == (x, 0, 0)
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, math.nan)]
+    )
+    @pytest.mark.parametrize("where", ["base", "dirv"])
+    def test_nonfinite_row_that_bounds_would_drop(self, rng, bad, where):
+        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
+        row = 2000
+        base[row] = 50.0  # far above the minimum: dropped while finite
+        assert row not in self._kept(base, dirv, ws, skip)
+        {"base": base, "dirv": dirv}[where][row] = bad
+        assert row in self._kept(base, dirv, ws, skip)
+        self._assert_same(_scan_minimum(base, dirv, ws, skip), dense_scan_minimum(base, dirv, ws, skip))
+
+    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 1.0)])
+    def test_nonfinite_weight_in_live_column(self, bad):
+        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
+        ws[100] = bad
+        self._assert_same(_scan_minimum(base, dirv, ws, skip), dense_scan_minimum(base, dirv, ws, skip))
+
+    def test_cluster_of_skipped_columns_and_single_live_column(self, rng):
+        base, dirv, ws, skip = self._curve_inputs(PolynomialTheta((1.0, 0.4, 0.1)), "t2", GridSpec())
+        skip[40:140] = True  # more than three clusters' worth of directions
+        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
+        for live in (0, 77, len(ws) - 1):
+            only = np.ones(len(ws), dtype=bool)
+            only[live] = False
+            assert _scan_minimum(base, dirv, ws, only) == dense_scan_minimum(base, dirv, ws, only)
+
+    # One direction is left out: numpy computes a one-element complex
+    # product without the fused multiply-add of its vector loop, so a
+    # one-row block then differs from the dense matrix in the last bit.
+    @pytest.mark.parametrize("n_dirs", [2, 3, 7, 100, 1000])
+    def test_direction_counts_not_multiple_of_cluster(self, rng, n_dirs):
+        base, dirv, ws, skip = self._arrays(rng, 2000, n_dirs)
+        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
+        # five live directions: one cluster, shorter than the cluster length
+        few = np.ones(n_dirs, dtype=bool)
+        few[rng.permutation(n_dirs)[:5]] = False
+        assert _scan_minimum(base, dirv, ws, few) == dense_scan_minimum(base, dirv, ws, few)
+
+    def test_member_check_scans_few_rows(self, monkeypatch):
+        fractions = []
+
+        def counting(base, *args):
+            kept = _kept_rows(base, *args)
+            fractions.append(len(kept) / len(base))
+            return kept
+
+        monkeypatch.setattr(membership, "_kept_rows", counting)
+        f = SigmaSeries(1.0, [0.05, 0.02])
+        for theta in (JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))):
+            spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+            for which in ("t1", "t2"):
+                assert check_convolution(f, spec, GridSpec(), which).is_member
+        assert len(fractions) == 4 and max(fractions) < 0.1
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
     @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 
 from bml import (
     BMLParams,
+    OperatorKernel,
     SigmaSeries,
     apply_operator,
     barnes_ml,
@@ -144,6 +145,18 @@ class TestApplyInvert:
             assert np.allclose(back.tail, tail, rtol=5e-16, atol=0)
             fwd = apply_operator(invert_operator(f, k), k)
             assert np.allclose(fwd.tail, tail, rtol=5e-16, atol=0)
+
+    def test_hand_built_kernel_roundtrip(self, unit_params):
+        # the series is built from h, so there is no second copy to disagree
+        k = OperatorKernel(unit_params, [1.0, 0.5])
+        assert np.array_equal(k.series.tail, [1.0, 0.5])
+        f = SigmaSeries(1.0, [0.2, 0.4])
+        assert np.array_equal(apply_operator(f, k).tail, [0.2, 0.2])
+        longer = SigmaSeries(1.0, [0.2, 0.4, 0.6])  # the image keeps the shorter tail
+        assert np.array_equal(apply_operator(longer, k).tail, [0.2, 0.2])
+        assert np.array_equal(invert_operator(apply_operator(f, k), k).tail, f.tail)
+        with pytest.raises(TypeError):
+            OperatorKernel(unit_params, [1.0, 0.5], SigmaSeries(1.0, [1.0, 3.0]))
 
     def test_apply_linear(self, rng, unit_params):
         k = build_kernel(unit_params, 8)
