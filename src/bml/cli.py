@@ -25,12 +25,12 @@ from .membership import (
     GridSpec,
     JanowskiTheta,
     MembershipReport,
-    _phase_grid,
-    _region_margins,
     check_alexander,
     check_convolution,
     check_direct,
     extremal_function,
+    phase_grid,
+    region_margins,
 )
 from .operator import apply_operator, build_kernel, max_kernel_order
 from .special_fn import BMLParams, barnes_ml
@@ -327,8 +327,8 @@ def _cmd_boundary_curve(args) -> int:
     spec = _class_of(args, _KINDS[args.cls])
     grid = _grid_of(args)
     zs = grid.z_points()
-    q, skip = _phase_grid(f, spec, zs, grid.min_modulus)
-    margins = _region_margins(spec, q)
+    q, skip = phase_grid(f, spec, zs, grid.min_modulus)
+    margins = region_margins(spec, q)
     lines = ["r,theta,q_re,q_im,inside"]
     for i, z in enumerate(zs):
         if skip[i]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LogObstructionError, PoleError
 from .laurent import SigmaSeries
-from .membership import ClassSpec, JanowskiTheta, PolynomialTheta, _theta_grid
+from .membership import ClassSpec, JanowskiTheta, PolynomialTheta, theta_grid
 from .operator import OperatorKernel, invert_operator
 
 _SCHWARZ_SAMPLES = 2048
@@ -96,7 +96,7 @@ def bml_from_schwarz(
     t, w = _gauss_unit(nodes)
     xi = t * z
     om = omega.value(xi)
-    th, bad = _theta_grid(spec.theta, om)
+    th, bad = theta_grid(spec.theta, om)
     if bad.any():
         raise PoleError("the target has a pole on the integration segment")
     integral = z * (w @ (math.cos(spec.lam) * (th - 1.0) / xi))

@@ -15,9 +15,11 @@ series f is decided three independent ways:
   when the root nearest the origin lies in the unit disc;
 * ``check_convolution`` scans the modulus of a direction-indexed
   convolution over (interior point, boundary direction) pairs and looks
-  for a vanishing value, with a deterministic local refinement around
-  the coarse minimum (a fixed grid alone cannot resolve an analytic
-  zero down to the decision threshold);
+  for a vanishing value (a fixed grid alone cannot resolve an analytic
+  zero down to the decision threshold): a bracketed secant locates the
+  zeros that sign changes between samples enclose, and when there are
+  none Newton's method polishes the minimum on the outer torus
+  |z| = r_max, |x| = 1, where the minimum-modulus principle puts it;
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -44,6 +46,7 @@ from .errors import (
 )
 from .laurent import SigmaSeries, alexander, binomial_series, evaluate, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
+from .solvers import newton_minimum, secant_zeros
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
@@ -102,18 +105,28 @@ class PolynomialTheta:
 ThetaSpec = Union[JanowskiTheta, PolynomialTheta]
 
 
-def _theta_grid(theta: ThetaSpec, zs: np.ndarray):
-    """Vectorized target values plus a mask of points too close to a pole."""
+def theta_grid(theta: ThetaSpec, zs: np.ndarray, derivatives: int = 0):
+    """Vectorized target values, their first `derivatives` derivatives, and
+    the mask of points too close to a pole: (Theta, Theta', ..., bad)."""
     zs = np.asarray(zs, dtype=complex)
     if isinstance(theta, JanowskiTheta):
         den = 1.0 + theta.B * zs
         bad = np.abs(den) < 1e-14
-        safe = np.where(bad, 1.0, den)
-        return (1.0 + theta.A * zs) / safe, bad
-    acc = np.zeros_like(zs)
+        den = np.where(bad, 1.0, den)
+        # Theta^(k) = k! (A - B) (-B)^(k-1) / den^(k+1) for k >= 1
+        out = [(1.0 + theta.A * zs) / den] + [
+            math.factorial(k) * (theta.A - theta.B) * (-theta.B) ** (k - 1) / den ** (k + 1)
+            for k in range(1, derivatives + 1)
+        ]
+        return (*out, bad)
+    # Horner with derivatives: acc[j] accumulates Theta^(j) / j!
+    acc = [np.zeros_like(zs) for _ in range(derivatives + 1)]
     for c in theta.coefficients[::-1]:
-        acc = acc * zs + c
-    return acc, np.zeros(zs.shape, dtype=bool)
+        for j in range(derivatives, 0, -1):
+            acc[j] = acc[j] * zs + acc[j - 1]
+        acc[0] = acc[0] * zs + c
+    out = [a * math.factorial(j) if j > 1 else a for j, a in enumerate(acc)]
+    return (*out, np.zeros(zs.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +352,7 @@ def _preimage(theta: PolynomialTheta, t_need, radius: float) -> np.ndarray:
     return roots[np.arange(len(roots)), k]
 
 
-def _region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
+def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
     """Signed distances from each w to the target-region boundary (+ inside).
 
     Janowski margins are exact.  A polynomial margin is
@@ -377,7 +390,7 @@ def target_region_contains(spec: ClassSpec, w: complex):
     cos(lam) |Theta'(x)| (1 - |x|) is the distance to the boundary to
     first order.  Boundary contact counts as outside (the classes are open).
     """
-    margin = float(_region_margins(spec, np.array([w]))[0])
+    margin = float(region_margins(spec, np.array([w]))[0])
     return margin > 0.0, margin
 
 
@@ -428,7 +441,7 @@ def phase_ratio(
     return 1.0 + num / den
 
 
-def _phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
+def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
     """Vectorized phase ratios plus the mask of singular sample points."""
     g = _bml_image(f, spec.params)
     d1 = z_fprime(g)
@@ -463,13 +476,13 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
     _require_sigma(f)
     _require_univalent(spec.theta)
     zs = grid.z_points()
-    q, skip = _phase_grid(f, spec, zs, grid.min_modulus)
+    q, skip = phase_grid(f, spec, zs, grid.min_modulus)
     skipped = int(skip.sum())
     if skipped > 0.01 * len(zs):
         raise InconclusiveError(
             f"{skipped} of {len(zs)} sample points were singular; verdict withheld"
         )
-    margins = _region_margins(spec, q)
+    margins = region_margins(spec, q)
     margins = np.where(skip, np.inf, margins)
     idx = int(np.argmin(margins))
     margin = float(margins[idx])
@@ -535,19 +548,31 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
     return SigmaSeries(e - 1.0, (n - 1 + e) * h)
 
 
-def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str):
+def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
     """Per-direction scan weight plus the skip mask of degenerate directions.
 
-    The scanned value is base(z) + weight(x) * dir(z); for t1 the weight is
-    -eps(x), for t2 it is E(x).
+    The scanned value is base(z) + W(x) dir(z); for t1 the weight is
+    W = -eps(x) = -1 - 1/(1 - E), for t2 it is W = E(x).  With
+    `derivatives`, W_1 = x dW/dx and W_2 = x d/dx W_1 come between W and
+    the mask.
     """
-    th, bad = _theta_grid(spec.theta, xs)
-    e = np.exp(-1j * spec.lam) * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))
+    th, *dth, bad = theta_grid(spec.theta, xs, 2 if derivatives else 0)
+    rot = np.exp(-1j * spec.lam)
+    e = rot * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))
     skip = bad | (np.abs(1.0 - e) < _DEGENERATE_TOL)
+    w = e
     if which == "t1":
         den = np.where(skip, 1.0, 1.0 - e)
-        return -(2.0 - e) / den, skip
-    return e, skip
+        w = -(2.0 - e) / den
+    if not derivatives:
+        return w, skip
+    xs = np.asarray(xs, dtype=complex)
+    c = rot * math.cos(spec.lam)
+    e1 = c * xs * dth[0]  # x dE/dx
+    e2 = e1 + c * xs * xs * dth[1]  # x d/dx (x dE/dx)
+    if which == "t2":
+        return w, e1, e2, skip
+    return w, -e1 / den**2, -e2 / den**2 - 2.0 * e1 * e1 / den**3, skip
 
 
 def _scan_series(f: SigmaSeries, spec: ClassSpec, which: str):
@@ -560,56 +585,51 @@ def _scan_series(f: SigmaSeries, spec: ClassSpec, which: str):
     return z_fprime(g), g
 
 
-def _eval_pair(s_base: SigmaSeries, s_dir: SigmaSeries, zs: np.ndarray):
-    """Fast simultaneous evaluation of the scan pair at a batch of points."""
+def _eval_series(series, zs: np.ndarray) -> np.ndarray:
+    """Values of several series at a batch of nonzero points, one row per
+    series, from one table of powers of the points."""
     zs = np.asarray(zs, dtype=complex)
-    order = max(len(s_base.tail), len(s_dir.tail))
+    powers = np.vander(zs, max(s.order for s in series), increasing=True)
     inv = 1.0 / zs
-    if order == 0:
-        return s_base.principal * inv, s_dir.principal * inv
-    powers = np.vander(zs, order, increasing=True)
-    base = powers[:, : len(s_base.tail)] @ s_base.tail + s_base.principal * inv
-    dirv = powers[:, : len(s_dir.tail)] @ s_dir.tail + s_dir.principal * inv
-    return base, dirv
+    return np.array([powers[:, : s.order] @ s.tail + s.principal * inv for s in series])
 
 
-# offsets of the 27-point refinement stencil over (Re z, Im z, direction angle)
-_STENCIL = np.array(
-    [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)], dtype=float
-)
+def _torus_jet(series, spec: ClassSpec, which: str, radius: float, angles: np.ndarray):
+    """F = B + W D at z = radius e^{i phi}, x = e^{i t}, (phi, t) = angles,
+    with its derivatives in the angles.
 
-
-def _refine_minimum(s_base, s_dir, spec, which, z0, t0, step_z, step_t, r_max, delta):
-    """Deterministic pattern search polishing the scan modulus near a minimum.
-
-    Starting from a coarse-grid argmin, recenter on any improvement and
-    halve the steps otherwise; the interior point is clamped to the
-    annulus 1e-9 <= |z| <= r_max and the direction stays on the circle.
+    `series` holds B, DB, D^2 B, D, DD, D^2 D with D = z d/dz.  Returns
+    (F, [F_phi, F_t], [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|),
+    or None for a degenerate direction: with d/dphi = i D and
+    d/dt = i x d/dx, F_phi = i (DB + W DD), F_phiphi = -(D^2 B + W D^2 D),
+    F_t = i W_1 D, F_tt = -W_2 D and F_phit = -W_1 DD.
     """
-    z, t = complex(z0), float(t0)
-    w0, skip0 = _direction_weights(spec, np.array([cmath.exp(1j * t)]), which)
-    b0, d0 = _eval_pair(s_base, s_dir, np.array([z]))
-    val = math.inf if skip0[0] else float(np.abs(b0 + w0 * d0)[0])
-    hz, ht = float(step_z), float(step_t)
-    for _ in range(250):
-        if val < 0.05 * delta or (hz < 1e-15 and ht < 1e-14):
-            break
-        cz = z + (_STENCIL[:, 0] + 1j * _STENCIL[:, 1]) * hz
-        ct = t + _STENCIL[:, 2] * ht
-        m = np.abs(cz)
-        cz = np.where(m > r_max, cz * (r_max / np.maximum(m, 1e-300)), cz)
-        cz = np.where(m < 1e-9, 1e-9, cz)
-        ws, skip = _direction_weights(spec, np.exp(1j * ct), which)
-        bv, dv = _eval_pair(s_base, s_dir, cz)
-        v = np.abs(bv + ws * dv)
-        v = np.where(skip, np.inf, v)
-        k = int(np.argmin(v))
-        if v[k] < val:
-            val, z, t = float(v[k]), complex(cz[k]), float(ct[k])
-        else:
-            hz *= 0.5
-            ht *= 0.5
-    return val, z, cmath.exp(1j * t)
+    b, b1, b2, d, d1, d2 = _eval_series(series, [radius * cmath.exp(1j * angles[0])])[:, 0]
+    w, w1, w2, skip = _direction_weights(spec, [cmath.exp(1j * angles[1])], which, True)
+    if skip[0]:
+        return None
+    w, w1, w2 = w[0], w1[0], w2[0]
+    grad = np.array([1j * (b1 + w * d1), 1j * w1 * d])
+    hess = np.array([[-b2 - w * d2, -w1 * d1], [-w1 * d1, -w2 * d]])
+    return b + w * d, grad, hess, abs(b) + abs(w * d)
+
+
+def _polish_minimum(s_base, s_dir, spec, which, z0, x0, radius):
+    """Newton's polish of the smallest |F| on the torus |z| = radius, |x| = 1.
+
+    Runs when no zero was found: F then has no zero in 0 < |z| <= radius
+    and one pole, at 0, so by the minimum-modulus principle its smallest
+    modulus lies on |z| = radius.  `newton_minimum` runs from the angles
+    of (z0, x0).  Returns (|F|, z, x, iterations); |F| is inf when x0 is a
+    degenerate direction.
+    """
+    d1 = [z_fprime(s) for s in (s_base, s_dir)]
+    series = (s_base, d1[0], z_fprime(d1[0]), s_dir, d1[1], z_fprime(d1[1]))
+    angles, val, steps = newton_minimum(
+        lambda a: _torus_jet(series, spec, which, radius, a),
+        np.array([cmath.phase(z0), cmath.phase(x0)]),
+    )
+    return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
 
 
 def _annulling_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
@@ -679,28 +699,6 @@ def _crossing_edges(indicator: np.ndarray, n_radii: int, n_angles: int) -> np.nd
     a = np.concatenate([idx[ang], idx[rad]])
     b = np.concatenate([np.roll(idx, -1, axis=1)[ang], idx[1:][rad]])
     return np.stack([a, b], axis=1)
-
-
-def _bisect_zero_batch(s_base, s_dir, spec, which, za, zb, sa):
-    """Parallel sign bisection along grid segments bracketing zero contours.
-
-    At most 80 steps; it stops early once a step leaves every segment
-    unchanged, since each later step would repeat it.
-    """
-    za = np.array(za, dtype=complex)
-    zb = np.array(zb, dtype=complex)
-    sa = np.array(sa, dtype=float)
-    for _ in range(80):
-        mid = 0.5 * (za + zb)
-        b, d = _eval_pair(s_base, s_dir, mid)
-        sm = _inside_indicator(spec, b, d, which)
-        sm = np.where(np.isfinite(sm), sm, 1.0)
-        take_left = sa * sm < 0
-        za_next, zb_next = np.where(take_left, za, mid), np.where(take_left, mid, zb)
-        if np.array_equal(za_next, za) and np.array_equal(zb_next, zb):
-            break
-        za, zb = za_next, zb_next
-    return 0.5 * (za + zb)
 
 
 # entries of the complex block that the convolution scan reuses (1 MiB)
@@ -835,14 +833,18 @@ def check_convolution(
     Beyond the raw (z, x) scan, each interior sample is paired with the
     unique direction that would annul the value there; a sign change of
     that direction's distance to the unit circle between neighbouring
-    samples brackets an actual zero, which bisection then resolves below
-    the threshold.  For the convex kind the same scan is applied to
-    -z f'.  The pair minimum comes from a bound and a scan: clusters of
-    neighbouring directions bound every interior sample from below, and
-    only the samples whose bound does not clear a value the scan attains
-    are scanned over every direction; minimum, witness and ties are those
-    of the full scan, bit for bit.  Both passes stream through one block
-    of about 1.5 MiB, so their memory does not grow with the grid.
+    samples brackets an actual zero, which a bracketed secant (Illinois)
+    then locates to rounding.  With no zero found, the value has no zero
+    in 0 < |z| <= r_max and its smallest modulus lies on |z| = r_max;
+    Newton's method in the two angles of that torus polishes the minimum,
+    and its witness replaces the scan's when it is lower.  For the convex
+    kind the same scan is applied to -z f'.  The pair minimum comes from a
+    bound and a scan: clusters of neighbouring directions bound every
+    interior sample from below, and only the samples whose bound does not
+    clear a value the scan attains are scanned over every direction;
+    minimum, witness and ties are those of the full scan, bit for bit.
+    Both passes stream through one block of about 1.5 MiB, so their memory
+    does not grow with the grid.
     """
     _require_sigma(f)
     _require_univalent(spec.theta)
@@ -866,10 +868,13 @@ def check_convolution(
     z_hits = zs[np.nonzero(indicator == 0.0)[0][:8]]
     if len(edges):
         ia, ib = edges.T
-        zb = _bisect_zero_batch(s_base, s_dir, spec, which, zs[ia], zs[ib], indicator[ia])
-        z_hits = np.concatenate([zb, z_hits])
+
+        def inside(z):
+            return _inside_indicator(spec, *_eval_series((s_base, s_dir), z), which)
+
+        z_hits = np.concatenate([secant_zeros(inside, zs[ia], zs[ib], indicator[ia]), z_hits])
     if len(z_hits):
-        bh, dh = _eval_pair(s_base, s_dir, z_hits)
+        bh, dh = _eval_series((s_base, s_dir), z_hits)
         x_cand = _nearest_circle_direction(spec, bh, dh, which)
         ok = np.isfinite(x_cand)
         w_cand, skip_cand = _direction_weights(spec, np.where(ok, x_cand, 1.0), which)
@@ -880,13 +885,8 @@ def check_convolution(
             best_z, best_x = complex(z_hits[k]), complex(x_cand[k])
 
     if best_val >= grid.min_modulus:
-        # polish the reported minimum for the member case
-        step_r = max(np.diff(np.asarray(grid.radii)).max(initial=grid.r_max / 12), 1e-3)
-        step_z = max(step_r, abs(best_z) * 2.0 * np.pi / grid.angles)
-        t0 = math.atan2(best_x.imag, best_x.real)
-        val, z_ref, x_ref = _refine_minimum(
-            s_base, s_dir, spec, which, best_z, t0,
-            step_z, 2.0 * np.pi / grid.boundary_x, grid.r_max, grid.min_modulus,
+        val, z_ref, x_ref, _ = _polish_minimum(
+            s_base, s_dir, spec, which, best_z, best_x, grid.r_max
         )
         if val < best_val:
             best_val, best_z, best_x = val, z_ref, x_ref
@@ -909,7 +909,7 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
     if skip[0]:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-    bv, dv = _eval_pair(s_base, s_dir, np.array([complex(z)]))
+    bv, dv = _eval_series((s_base, s_dir), np.array([complex(z)]))
     return complex((bv + ws * dv)[0])
 
 

@@ -1,0 +1,122 @@
+"""Superlinear iterations that polish the witnesses of the convolution check.
+
+Both take the function they work on from the caller:
+
+* ``secant_zeros`` locates a sign change of a real function on each of a
+  batch of complex segments, by the Illinois variant of regula falsi;
+* ``newton_minimum`` minimises |F|^2 over two angles by Newton's method
+  with the exact Hessian, safeguarded by backtracking and Cauchy steps.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+_EPS = np.finfo(float).eps
+# function calls of the zero search beyond the one at the right ends
+_SECANT_STEPS = 60
+# iteration bound of the Newton polish; it converges in a handful
+_NEWTON_STEPS = 40
+# halvings of a step that does not lower |F|^2 before the next one is tried
+_BACKTRACKS = 8
+# longest step, in either angle, that the polish takes at once
+_MAX_STEP = 0.1
+
+
+def secant_zeros(fn, za, zb, fa) -> np.ndarray:
+    """A sign change of the real function fn on each segment [za, zb].
+
+    The Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971),
+    for all segments at once: each step calls fn at the false-position
+    point of every open bracket, or at its midpoint where that point is
+    not strictly inside, and keeps the part across which the sign
+    changes; an end kept twice in a row has its value halved, which makes
+    the convergence superlinear.  A point within 2 ulp of an end moves to
+    2 ulp from it, so a zero at an end closes its bracket at once.  `fa`
+    holds fn at za; fn at zb is one more call, and a non-finite value
+    counts as +1.  A segment is done once its bracket is at most 4 ulp
+    wide (relative) or fn is exactly 0 there.  Returns, per segment, the
+    bracket end with the smaller |fn|.
+    """
+
+    def call(z):
+        v = fn(z)
+        return np.where(np.isfinite(v), v, 1.0)
+
+    z = np.array([za, zb], dtype=complex)
+    v = np.array([fa, call(z[1])], dtype=float)
+    size = np.abs(v)  # v gets halved, size keeps |fn|
+    last = np.full(z.shape[1], -1)  # the end each step replaced
+    for _ in range(_SECANT_STEPS):
+        width = np.abs(z[1] - z[0])
+        live = np.flatnonzero((v[0] * v[1] < 0) & (width > 4 * _EPS * np.abs(z).max(axis=0)))
+        if len(live) == 0:
+            break
+        (a, b), (va, vb) = z[:, live], v[:, live]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = va / (va - vb)
+        p = np.where((s > 0.0) & (s < 1.0), a + s * (b - a), 0.5 * (a + b))
+        gap = 2 * _EPS * np.maximum(np.abs(a), np.abs(b)) * (b - a) / width[live]
+        p = np.where(np.abs(p - a) < np.abs(gap), a + gap, p)
+        p = np.where(np.abs(b - p) < np.abs(gap), b - gap, p)
+        vp = call(p)
+        k = (va * vp < 0).astype(int)  # 1: the sign changes on [a, p], so p replaces b
+        v[1 - k, live] *= np.where(last[live] == k, 0.5, 1.0)
+        z[k, live], v[k, live], size[k, live], last[live] = p, vp, np.abs(vp), k
+    return z[np.argmin(size, axis=0), np.arange(z.shape[1])]
+
+
+def newton_minimum(jet, angles: np.ndarray):
+    """Local minimum of g = |F|^2 over two angles, from `angles`.
+
+    jet(angles) gives (F, [F_1, F_2], [[F_11, F_12], [F_21, F_22]], scale),
+    the partial derivatives of F in the angles and the size of the terms
+    whose sum is F, or None where F is undefined (which counts as +inf).
+    Each step uses the exact gradient 2 Re(conj(F) F_a) and Hessian
+    2 Re(conj(F_a) F_b + conj(F) F_ab) of g (Nocedal & Wright, Numerical
+    Optimization, 2006).  Where the Hessian is not positive definite, or
+    the Newton step does not lower g within _BACKTRACKS halvings, a Cauchy
+    step along the gradient takes over.  It stops once the step is below
+    1e-14 in both angles, the decrease the quadratic model predicts is
+    below the rounding of g, or no step lowers g.  Returns
+    (angles, |F|, iterations); |F| is inf when jet is None at the start.
+    """
+    at = jet(angles)
+    if at is None:
+        return angles, math.inf, 0
+    for steps in range(1, _NEWTON_STEPS + 1):
+        f, df, ddf, scale = at
+        g = abs(f) ** 2
+        grad = 2.0 * (f.conjugate() * df).real
+        hess = 2.0 * (np.outer(df.conjugate(), df) + f.conjugate() * ddf).real
+        if not grad.any():
+            break
+        (h11, h12), (_, h22) = hess
+        det = h11 * h22 - h12 * h12
+        moves = []
+        if h11 > 0 and det > 0:  # Newton's step, where the Hessian is positive definite
+            newton = [h12 * grad[1] - h22 * grad[0], h12 * grad[0] - h11 * grad[1]]
+            moves.append(np.array(newton) / det)
+        curv = grad @ hess @ grad
+        cauchy = grad @ grad / curv if curv > 0 else math.inf
+        moves.append(-grad * min(cauchy, _MAX_STEP / np.abs(grad).max()))
+        # converged, or the model decrease is below the rounding of g
+        decrease = -0.5 * grad @ moves[0]
+        if np.abs(moves[0]).max() < 1e-14 or decrease <= 16 * _EPS * abs(f) * scale:
+            break
+        for move in moves:
+            move = move * min(1.0, _MAX_STEP / np.abs(move).max())
+            for _ in range(_BACKTRACKS + 1):
+                trial = jet(angles + move)
+                if trial is not None and abs(trial[0]) ** 2 < g:
+                    break
+                move = 0.5 * move
+            else:
+                continue
+            break
+        else:
+            break
+        angles, at = angles + move, trial
+    return angles, float(abs(at[0])), steps

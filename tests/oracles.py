@@ -5,8 +5,10 @@ Stirling-Bernoulli series (and the C library), series values from brute
 partial summation over libm's gamma, derivatives from central
 differences, polynomial preimages from one numpy.roots call per point,
 the convolution scan minimum from one dense matrix and np.argmin,
-series composition by Horner's rule over full-length convolutions, and
-sign bisection by a fixed 80 steps over a caller-supplied indicator.
+series composition by Horner's rule over full-length convolutions,
+sign bisection by a fixed 80 steps over a caller-supplied indicator, and
+the convolution minimum by a 27-point pattern search over a
+caller-supplied modulus.
 """
 
 import math
@@ -139,3 +141,39 @@ def bisect_reference(indicator, za, zb, sa, steps=80):
         left = sa * sm < 0
         za, zb = np.where(left, za, mid), np.where(left, mid, zb)
     return 0.5 * (za + zb)
+
+
+# offsets of the 27-point pattern over (Re z, Im z, direction angle)
+_STENCIL = np.array(
+    [(i, j, k) for i in (-1, 0, 1) for j in (-1, 0, 1) for k in (-1, 0, 1)], dtype=float
+)
+
+
+def pattern_search_reference(modulus, z0, t0, step_z, step_t, r_max, delta, iterations=250):
+    """(value, z, t) of a pattern search for a small modulus(z, t) near (z0, t0).
+
+    `modulus(zs, ts)` gives |F| at interior points zs and directions e^{i ts}
+    (inf where degenerate).  The search recentres on the best of 27 points
+    of a (Re z, Im z, t) stencil when it improves and halves the steps
+    otherwise, clamping z to 1e-9 <= |z| <= r_max; it stops below
+    0.05 delta, once both steps are negligible, or after `iterations`.
+    """
+    z, t = complex(z0), float(t0)
+    val = float(modulus(np.array([z]), np.array([t]))[0])
+    hz, ht = float(step_z), float(step_t)
+    for _ in range(iterations):
+        if val < 0.05 * delta or (hz < 1e-15 and ht < 1e-14):
+            break
+        cz = z + (_STENCIL[:, 0] + 1j * _STENCIL[:, 1]) * hz
+        ct = t + _STENCIL[:, 2] * ht
+        m = np.abs(cz)
+        cz = np.where(m > r_max, cz * (r_max / np.maximum(m, 1e-300)), cz)
+        cz = np.where(m < 1e-9, 1e-9, cz)
+        v = modulus(cz, ct)
+        k = int(np.argmin(v))
+        if v[k] < val:
+            val, z, t = float(v[k]), complex(cz[k]), float(ct[k])
+        else:
+            hz *= 0.5
+            ht *= 0.5
+    return val, z, t

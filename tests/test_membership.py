@@ -40,6 +40,7 @@ from bml import (
     z_fprime,
 )
 import bml.membership as membership
+from bml.solvers import _NEWTON_STEPS, secant_zeros
 from bml.membership import (
     _SCAN_BLOCK,
     _crossing_edges,
@@ -51,6 +52,7 @@ from oracles import (
     bisect_reference,
     central_derivative,
     dense_scan_minimum,
+    pattern_search_reference,
     preimage_roots_reference,
 )
 
@@ -559,11 +561,109 @@ class TestCheckConvolution:
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
 
 
-class TestBisectZeroBatch:
+_JET_THETAS = [
+    JanowskiTheta(0.5, -0.3),
+    JanowskiTheta(0.0, -1.0),
+    PolynomialTheta((1.0, 0.4, 0.1)),
+    PolynomialTheta((1.0, 0.6j, 0.05, 0.02)),
+]
+
+
+def _member_classes():
+    """Twelve member classes with their members: six targets, both kinds."""
+    params = BMLParams(1.2, 0.8, 2.0, 1.0)
+    out = []
+    for lam, theta in zip((0.3, 0.1, 0.5, -0.2, -0.7, 1.0), _JET_THETAS + _JET_THETAS[:2]):
+        for kind, omega in (("spirallike", (0.3, 0.2j)), ("convex", (0.0, 0.25, -0.1))):
+            spec = ClassSpec(lam, theta, kind, params)
+            f = reconstruct_f(spec, SchwarzSpec(omega), build_kernel(params, 16), 16, kind)
+            out.append((spec, f))
+    return out
+
+
+class TestPolishMinimum:
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize("theta", _JET_THETAS)
+    def test_torus_jet_matches_central_differences(self, theta, which):
+        spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
+        series = [
+            s for pair in membership._scan_series(f, spec, which)
+            for s in (pair, z_fprime(pair), z_fprime(z_fprime(pair)))
+        ]
+
+        def jet(phi, t):
+            return membership._torus_jet(series, spec, which, 0.9, np.array([phi, t]))
+
+        def value(phi, t):
+            return jet(phi, t)[0]
+
+        for phi, t in ((0.4, 1.1), (2.5, -2.0), (-1.3, 0.2)):
+            _, (fp, ft), ((fpp, fpt), (ftp, ftt)), scale = jet(phi, t)
+            assert fpt == ftp
+            h = 1e-4
+            mixed = (
+                value(phi + h, t + h) - value(phi + h, t - h)
+                - value(phi - h, t + h) + value(phi - h, t - h)
+            ) / (4.0 * h * h)
+            pairs = [
+                (fp, central_derivative(lambda p: value(p.real, t), phi)),
+                (ft, central_derivative(lambda q: value(phi, q.real), t)),
+                (fpp, central_derivative(lambda p: value(p.real, t), phi, h, order=2)),
+                (ftt, central_derivative(lambda q: value(phi, q.real), t, h, order=2)),
+                (fpt, mixed),
+            ]
+            for analytic, numeric in pairs:
+                assert abs(analytic - numeric) <= 1e-6 * max(scale, abs(analytic))
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_member_minimum_on_outer_torus(self, monkeypatch, which):
+        grid = GridSpec()
+        polish, steps = membership._polish_minimum, []
+
+        def counted(*args):
+            out = polish(*args)
+            steps.append(out[3])
+            return out
+
+        monkeypatch.setattr(membership, "_polish_minimum", counted)
+        for spec, f in _member_classes():
+            rep = check_convolution(f, spec, grid, which)
+            assert rep.is_member
+            assert abs(rep.witness_z) == pytest.approx(grid.r_max, rel=1e-15)
+            s_base, s_dir = membership._scan_series(f, spec, which)
+
+            def modulus(zs, ts):
+                ws, skip = membership._direction_weights(spec, np.exp(1j * ts), which)
+                vals = np.abs(evaluate_grid(s_base, zs) + ws * evaluate_grid(s_dir, zs))
+                return np.where(skip, np.inf, vals)
+
+            # the pattern search the polish replaced, from the scan's argmin
+            zs, xs = grid.z_points(), grid.x_points()
+            ws, skip = membership._direction_weights(spec, xs, which)
+            base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+            scan, i, j = dense_scan_minimum(base, dirv, ws, skip)
+            step_z = max(np.diff(grid.radii).max(), abs(zs[i]) * 2.0 * np.pi / grid.angles)
+            pattern = pattern_search_reference(
+                modulus, zs[i], np.angle(xs[j]), step_z, 2.0 * np.pi / grid.boundary_x,
+                grid.r_max, grid.min_modulus,
+            )[0]
+            assert rep.margin <= min(scan, pattern) * (1.0 + 1e-12)
+            # a dense 512 x 512 sample of the torus around the witness
+            h = np.linspace(-0.02, 0.02, 512)
+            phis, ts = np.angle(rep.witness_z) + h, np.angle(rep.witness_x) + h
+            local = modulus(
+                np.repeat(grid.r_max * np.exp(1j * phis), 512), np.tile(ts, 512)
+            )
+            assert rep.margin <= local.min() * (1.0 + 1e-13)
+        assert len(steps) == 12 and max(steps) < _NEWTON_STEPS
+
+
+class TestSecantZeros:
     @pytest.mark.parametrize(
         "theta", [JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
     )
-    def test_early_stop_matches_all_80_steps(self, monkeypatch, fast_grid, theta):
+    def test_matches_80_step_bisection_in_few_calls(self, fast_grid, theta):
         spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         s_base, s_dir = membership._scan_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
         zs = fast_grid.z_points()
@@ -571,23 +671,66 @@ class TestBisectZeroBatch:
         indicator = membership._inside_indicator(spec, base, dirv, "t1")
         ia, ib = _crossing_edges(indicator, len(fast_grid.radii), fast_grid.angles).T
         assert len(ia) > 0  # a non-member: its zero contour crosses the grid
+        calls = []
 
         def at(mid):
+            calls.append(1)
             return membership._inside_indicator(
-                spec, *membership._eval_pair(s_base, s_dir, mid), "t1"
+                spec, *membership._eval_series((s_base, s_dir), mid), "t1"
             )
 
         ref = bisect_reference(at, zs[ia], zs[ib], indicator[ia])
-        inside_indicator, steps = membership._inside_indicator, []
+        calls.clear()
+        got = secant_zeros(at, zs[ia], zs[ib], indicator[ia])
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(zs[ib] - zs[ia]))
+        assert len(calls) <= 20
 
-        def counted(*args):
-            steps.append(1)
-            return inside_indicator(*args)
+    @staticmethod
+    def _run(fn, za, zb):
+        """Secant and 80-step bisection on segments of the real line, and
+        the number of calls the secant made."""
+        calls = []
 
-        monkeypatch.setattr(membership, "_inside_indicator", counted)
-        got = membership._bisect_zero_batch(s_base, s_dir, spec, "t1", zs[ia], zs[ib], indicator[ia])
-        assert got.tobytes() == ref.tobytes()  # bit for bit
-        assert len(steps) < 80
+        def counted(z):
+            calls.append(1)
+            return fn(z.real)
+
+        za, zb = np.array(za, dtype=complex), np.array(zb, dtype=complex)
+        with np.errstate(invalid="ignore"):
+            ref = bisect_reference(lambda z: fn(z.real), za, zb, fn(za.real))
+            got = secant_zeros(counted, za, zb, fn(za.real))
+        return got, ref, len(calls)
+
+    def test_exact_zero_at_the_first_point(self):
+        # the false-position point of [1, 3] under z - 2 is the midpoint 2
+        got, ref, calls = self._run(lambda x: x - 2.0, [1.0], [3.0])
+        assert got[0] == 2.0 == ref[0] and calls == 2
+
+    def test_nonfinite_value_counts_as_plus_one(self):
+        def fn(x):
+            # x - 1.1 up to 1.3, nan on (1.3, 1.99), then 0.01: the first
+            # false-position point, 1.909, lands in the nan
+            return np.where(x <= 1.3, x - 1.1, np.where(x < 1.99, np.nan, 0.01))
+
+        got, ref, _ = self._run(fn, [1.0], [2.0])
+        assert abs(got[0] - 1.1) <= 4e-16 and abs(ref[0] - 1.1) <= 4e-16
+
+    def test_zero_next_to_an_end_closes_at_once(self):
+        # the zero, 1 + 1e-17, rounds to the left end: the false-position
+        # point would too, so the search steps 2 ulp off that end instead
+        got, ref, calls = self._run(lambda x: np.sinh(x - 1.0) - 1e-17, [1.0], [2.0])
+        assert got[0] == 1.0 and abs(ref[0] - 1.0) <= 2.3e-16 and calls == 2
+
+    def test_segments_finish_independently(self):
+        # segment k is [2k + 1, 2k + 2], with its own zero roots[k]
+        roots = np.array([1.25, 3.5, 5.75, 7.999])
+
+        def fn(x):
+            return np.sinh(4.0 * (x - roots[((x - 1.0) // 2.0).astype(int)]))
+
+        got, ref, _ = self._run(fn, 2.0 * np.arange(4) + 1.0, 2.0 * np.arange(4) + 2.0)
+        assert np.all(np.abs(got.real - roots) <= 4e-15) and np.all(got.imag == 0.0)
+        assert np.all(np.abs(got - ref) <= 1e-12)
 
 
 class TestScanMinimum:
