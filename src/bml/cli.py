@@ -236,7 +236,8 @@ def _add_class(p: argparse.ArgumentParser):
 
 def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--rmax", type=float, default=0.99, help="largest sampled radius (default 0.99)")
-    p.add_argument("--radii", type=int, default=12, help="number of sampled radii (default 12)")
+    p.add_argument("--radii", type=int, default=12, help="sampled radii of the direct and alexander "
+                   "checks and boundary-curve; conv checks sample only |z| = rmax (default 12)")
     p.add_argument("--angles", type=int, default=256, help="samples per circle (default 256)")
     p.add_argument("--xsamples", type=int, default=512, help="unit-circle samples (default 512)")
     p.add_argument("--delta", type=float, default=1e-9, help="non-vanishing threshold (default 1e-9)")

@@ -13,13 +13,11 @@ series f is decided three independent ways:
   every sample at once (closed forms up to degree 3, one batched
   companion-matrix eigenvalue solve above): w lies in the region exactly
   when the root nearest the origin lies in the unit disc;
-* ``check_convolution`` scans the modulus of a direction-indexed
-  convolution over (interior point, boundary direction) pairs and looks
-  for a vanishing value (a fixed grid alone cannot resolve an analytic
-  zero down to the decision threshold): a bracketed secant locates the
-  zeros that sign changes between samples enclose, and when there are
-  none Newton's method polishes the minimum on the outer torus
-  |z| = r_max, |x| = 1, where the minimum-modulus principle puts it;
+* ``check_convolution`` decides on |z| = r_max alone whether a convolution
+  indexed by boundary directions vanishes in the punctured disc: a sample
+  whose annulling value leaves the target region, or a winding of the
+  operator image other than -1, proves a zero, which a secant locates on a
+  radius; else a pair scan and Newton find the minimum modulus on the torus;
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -44,13 +42,15 @@ from .errors import (
     PoleError,
     SingularPointError,
 )
-from .laurent import SigmaSeries, alexander, binomial_series, evaluate, evaluate_grid, z_fprime
+from .laurent import SigmaSeries, alexander, binomial_series, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
 from .solvers import newton_minimum, secant_zeros
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
+# iteration bound of the Newton polish of a zero of G; it converges in a handful
+_NEWTON_ZERO_STEPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +151,9 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling plan over the punctured disc and the unit circle."""
+    """Sampling plan: the polar grid `radii` x `angles` of `check_direct`,
+    `check_alexander` and the boundary curve, whereas the convolution checks
+    sample |z| = r_max alone, at `angles` points; `boundary_x` directions."""
 
     radii: tuple = ()
     r_max: float = 0.99
@@ -172,6 +174,10 @@ class GridSpec:
         if not self.min_modulus > 0:
             raise ValueError("min_modulus must be positive")
         object.__setattr__(self, "radii", radii)
+
+    def circle_points(self) -> np.ndarray:
+        """Samples of the circle |z| = r_max, at the angles of `z_points`."""
+        return self.r_max * np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
 
     def z_points(self) -> np.ndarray:
         """Interior samples, radius-major then angle, deterministic order."""
@@ -425,20 +431,12 @@ def phase_ratio(
 
     Spirallike kind: z G'(z)/G(z); convex kind: 1 + z G''(z)/G'(z), where
     G is the operator image of f.  Derivatives are taken exactly on the
-    truncated series.
+    truncated series; the value is `phase_grid`'s at the one point z.
     """
-    g = _bml_image(f, spec.params)
-    d1 = z_fprime(g)
-    if spec.kind == "spirallike":
-        den = evaluate(g, z)
-        if abs(den) < min_modulus:
-            raise SingularPointError(f"operator image vanishes near z = {z!r}")
-        return evaluate(d1, z) / den
-    den = evaluate(d1, z)
-    if abs(den) < min_modulus:
-        raise SingularPointError(f"image derivative vanishes near z = {z!r}")
-    num = evaluate(z_fprime(d1), z) - den
-    return 1.0 + num / den
+    q, skip = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
+    if skip[0]:
+        raise SingularPointError(f"the phase ratio's denominator vanishes near z = {z!r}")
+    return complex(q[0])
 
 
 def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
@@ -632,47 +630,31 @@ def _polish_minimum(s_base, s_dir, spec, which, z0, x0, radius):
     return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
 
 
-def _annulling_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
-    """The unique point x (not restricted to the circle) annulling the scan value.
-
-    For a Möbius target, solving base(z) + weight(x) dir(z) = 0 for the
-    direction is a Möbius inversion; the scan value vanishes on the unit
-    circle exactly when |x(z)| = 1.  Only Möbius targets admit this
-    closed form.
-    """
-    lam = spec.lam
-    a, b = spec.theta.A, spec.theta.B
-    el = cmath.exp(1j * lam)
-    c = a * math.cos(lam) + 1j * b * math.sin(lam)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if which == "t1":
-            num = el * dirv
-            den = c * (dirv - base) - b * el * (2.0 * dirv - base)
-        else:
-            num = -el * (base + dirv)
-            den = c * dirv + b * el * base
-        return num / den
-
-
 def _annulling_points(
     spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str, radius: float
 ):
     """Per sample, the point x (not restricted to the circle) whose direction
-    annuls the scan value; for a polynomial target, the preimage of the
-    annulling direction value whose modulus is nearest `radius`."""
-    if isinstance(spec.theta, JanowskiTheta):
-        return _annulling_direction(spec, base, dirv, which)
+    annuls the scan value: E(x) = e, with e the annulling value
+    (2 dir - base)/(dir - base) for t1 and -base/dir for t2.  A Möbius
+    target has one such x; for a polynomial target, the root whose modulus
+    is nearest `radius`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         e = (2.0 * dirv - base) / (dirv - base) if which == "t1" else -base / dirv
-    return _preimage(spec.theta, _theta_need(spec, e), radius)
+        t = _theta_need(spec, e)
+        if isinstance(spec.theta, JanowskiTheta):
+            return (t - 1.0) / (spec.theta.A - spec.theta.B * t)
+    return _preimage(spec.theta, t, radius)
 
 
 def _inside_indicator(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
-    """Signed indicator: negative where the annulling direction lies inside
-    the unit circle (the sampled value sits inside the target region),
-    positive outside; a sign change along a grid edge brackets a zero of
-    the convolution on the circle."""
-    return np.abs(_annulling_points(spec, base, dirv, which, 0.0)) - 1.0
+    """Signed indicator (|x| - 1)/(|x| + 1) of the annulling direction x:
+    negative where x lies inside the unit circle (the annulling value sits
+    inside the target region), positive outside, -1 at the puncture.  It
+    stays in [-1, 1], so a radius that ends near a pole of the annulling
+    value does not stall the secant on a huge end value."""
+    size = np.abs(_annulling_points(spec, base, dirv, which, 0.0))
+    with np.errstate(invalid="ignore"):
+        return (size - 1.0) / (size + 1.0)
 
 
 def _nearest_circle_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
@@ -682,23 +664,6 @@ def _nearest_circle_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarra
     ok = np.isfinite(x) & (x != 0)
     x = np.where(ok, x, 1.0)
     return np.where(ok, x / np.abs(x), np.nan)
-
-
-def _crossing_edges(indicator: np.ndarray, n_radii: int, n_angles: int) -> np.ndarray:
-    """Grid edges, as (E, 2) sample indices, whose endpoints disagree on the
-    inside indicator.
-
-    Angular neighbours within each circle first (wrapping), then radial
-    neighbours at fixed angle; each group r-major, deterministic order.
-    """
-    ind = indicator.reshape(n_radii, n_angles)
-    s = np.where(np.isfinite(ind), np.sign(ind), 0.0)
-    idx = np.arange(n_radii * n_angles).reshape(n_radii, n_angles)
-    ang = np.nonzero(s * np.roll(s, -1, axis=1) < 0)
-    rad = np.nonzero(s[:-1] * s[1:] < 0)
-    a = np.concatenate([idx[ang], idx[rad]])
-    b = np.concatenate([np.roll(idx, -1, axis=1)[ang], idx[1:][rad]])
-    return np.stack([a, b], axis=1)
 
 
 # entries of the complex block that the convolution scan reuses (1 MiB)
@@ -823,73 +788,105 @@ def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.n
     return best
 
 
+def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray):
+    """Zeros of G inside the circle that `zs` samples evenly (g = G(zs)), or
+    None when G winds -1 times about 0 along it (only its pole at 0 inside).
+    The winding + 1 zeros are the roots of the polynomial that Newton's
+    identities build from their power sums, the contour moments of
+    z^p G'/G: on the circle the trapezoid means of z^p (z G'/G) (Delves &
+    Lyness, Math. Comp. 21, 1967).  Newton on G polishes each root."""
+    count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
+    if count == 0:
+        return None
+    d_pole = z_fprime(s_pole)
+    ratio = evaluate_grid(d_pole, zs) / g
+    sums = [np.mean(zs**p * ratio) for p in range(1, count + 1)]
+    elem = [1.0]
+    for k in range(1, count + 1):
+        elem.append(sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
+    z = np.roots([(-1) ** k * e for k, e in enumerate(elem)]).astype(complex)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(_NEWTON_ZERO_STEPS):
+            gz, zg = _eval_series((s_pole, d_pole), z)
+            step = z * gz / zg  # G/G', with G' = (z G')/z
+            live = np.isfinite(step) & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(z))
+            if not live.any():
+                break
+            z = np.where(live, z - step, z)
+    return z
+
+
+def _zero_witness(s_base, s_dir, spec: ClassSpec, which: str, ends, grid: GridSpec):
+    """(|F|, z, x) at the best of the zeros of F that a secant locates on
+    the radii [0, z_k], taking the indicator's limit -1 at 0, each paired
+    with its nearest circle direction; `InconclusiveError` when that |F|
+    is not below grid.min_modulus (a zero proven but not located)."""
+
+    def inside(z):
+        return _inside_indicator(spec, *_eval_series((s_base, s_dir), z), which)
+
+    hits = secant_zeros(inside, np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0))
+    hits = hits[np.isfinite(hits) & (hits != 0)]
+    bh, dh = _eval_series((s_base, s_dir), hits)
+    x = _nearest_circle_direction(spec, bh, dh, which)
+    ok = np.isfinite(x)
+    w, skip = _direction_weights(spec, np.where(ok, x, 1.0), which)
+    vals = np.where(ok & ~skip, np.abs(bh + w * dh), np.inf)
+    if not np.any(vals < grid.min_modulus):
+        raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
+    k = int(np.argmin(vals))
+    return float(vals[k]), complex(hits[k]), complex(x[k])
+
+
 def check_convolution(
     f: SigmaSeries, spec: ClassSpec, grid: GridSpec, which: str = "t1"
 ) -> MembershipReport:
-    """Non-vanishing scan of the direction-indexed convolution.
+    """Non-vanishing test of the direction-indexed convolution, decided on |z| = r_max.
 
-    Member verdict iff the smallest modulus found over all (interior
-    point, boundary direction) pairs stays at or above grid.min_modulus.
-    Beyond the raw (z, x) scan, each interior sample is paired with the
-    unique direction that would annul the value there; a sign change of
-    that direction's distance to the unit circle between neighbouring
-    samples brackets an actual zero, which a bracketed secant (Illinois)
-    then locates to rounding.  With no zero found, the value has no zero
-    in 0 < |z| <= r_max and its smallest modulus lies on |z| = r_max;
-    Newton's method in the two angles of that torus polishes the minimum,
-    and its witness replaces the scan's when it is lower.  For the convex
-    kind the same scan is applied to -z f'.  The pair minimum comes from a
-    bound and a scan: clusters of neighbouring directions bound every
-    interior sample from below, and only the samples whose bound does not
-    clear a value the scan attains are scanned over every direction;
-    minimum, witness and ties are those of the full scan, bit for bit.
-    Both passes stream through one block of about 1.5 MiB, so their memory
-    does not grow with the grid.
+    F_x(z) = base(z) + W(x) dir(z) vanishes for some |x| = 1 exactly when
+    the annulling value e(z) (`_annulling_points`) lies on the boundary of
+    the target region.  e is E(0) = 1, inside, at the puncture, and its
+    only poles are the zeros of the operator image G (base - dir for t1,
+    dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
+    region at a sample of |z| = r_max (grid.angles of them; grid.radii is
+    not used), or the winding of G along that circle is not -1.  The
+    radius to such a sample, or to each zero of G that its contour moments
+    give, brackets a zero of F that a secant locates to rounding: a non-member,
+    or `InconclusiveError` when none falls below grid.min_modulus.  With
+    no zero, |F| is smallest on the torus |z| = r_max, |x| = 1, where the
+    pair scan (`_scan_minimum`) and Newton's method in the two angles find
+    it: member iff it is at least grid.min_modulus.  For the convex kind
+    the test is applied to -z f'.
     """
     _require_sigma(f)
     _require_univalent(spec.theta)
     _require_which(which)
     s_base, s_dir = _scan_series(f, spec, which)
-    zs = grid.z_points()
+    zs = grid.circle_points()
     xs = grid.x_points()
     ws, skip = _direction_weights(spec, xs, which)
     skipped = int(skip.sum())
     if skipped == len(xs):
         raise InconclusiveError("every boundary direction is degenerate")
-    base = evaluate_grid(s_base, zs)
-    dirv = evaluate_grid(s_dir, zs)
-    best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
-    best_z, best_x = complex(zs[i0]), complex(xs[j0])
-
-    # locate actual zeros bracketed by the sampled annulling directions
-    indicator = _inside_indicator(spec, base, dirv, which)
-    edges = _crossing_edges(indicator, len(grid.radii), grid.angles)[:24]
-    # a sample can sit exactly on the zero contour, flagging no edge
-    z_hits = zs[np.nonzero(indicator == 0.0)[0][:8]]
-    if len(edges):
-        ia, ib = edges.T
-
-        def inside(z):
-            return _inside_indicator(spec, *_eval_series((s_base, s_dir), z), which)
-
-        z_hits = np.concatenate([secant_zeros(inside, zs[ia], zs[ib], indicator[ia]), z_hits])
-    if len(z_hits):
-        bh, dh = _eval_series((s_base, s_dir), z_hits)
-        x_cand = _nearest_circle_direction(spec, bh, dh, which)
-        ok = np.isfinite(x_cand)
-        w_cand, skip_cand = _direction_weights(spec, np.where(ok, x_cand, 1.0), which)
-        vals = np.where(ok & ~skip_cand, np.abs(bh + w_cand * dh), np.inf)
-        k = int(np.argmin(vals))
-        if vals[k] < best_val:
-            best_val = float(vals[k])
-            best_z, best_x = complex(z_hits[k]), complex(x_cand[k])
-
-    if best_val >= grid.min_modulus:
-        val, z_ref, x_ref, _ = _polish_minimum(
-            s_base, s_dir, spec, which, best_z, best_x, grid.r_max
-        )
-        if val < best_val:
-            best_val, best_z, best_x = val, z_ref, x_ref
+    base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+    ends = zs[~(_inside_indicator(spec, base, dirv, which) < 0.0)]
+    proven = len(ends) > 0
+    if not proven:
+        s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
+        zeros = _image_zeros(s_pole, zs, g)
+        if zeros is not None:  # kept on |z| <= r_max, where the winding puts them
+            proven, ends = True, zeros * (grid.r_max / np.maximum(np.abs(zeros), grid.r_max))
+    if proven:
+        best_val, best_z, best_x = _zero_witness(s_base, s_dir, spec, which, ends, grid)
+    else:
+        best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
+        best_z, best_x = complex(zs[i0]), complex(xs[j0])
+        if best_val >= grid.min_modulus:
+            val, z_ref, x_ref, _ = _polish_minimum(
+                s_base, s_dir, spec, which, best_z, best_x, grid.r_max
+            )
+            if val < best_val:
+                best_val, best_z, best_x = val, z_ref, x_ref
 
     return MembershipReport(
         verdict="member" if best_val >= grid.min_modulus else "non-member",

@@ -6,9 +6,10 @@ partial summation over libm's gamma, derivatives from central
 differences, polynomial preimages from one numpy.roots call per point,
 the convolution scan minimum from one dense matrix and np.argmin,
 series composition by Horner's rule over full-length convolutions,
-sign bisection by a fixed 80 steps over a caller-supplied indicator, and
+sign bisection by a fixed 80 steps over a caller-supplied indicator,
 the convolution minimum by a 27-point pattern search over a
-caller-supplied modulus.
+caller-supplied modulus, and the convolution verdict by all three over
+the whole polar grid.
 """
 
 import math
@@ -177,3 +178,64 @@ def pattern_search_reference(modulus, z0, t0, step_z, step_t, r_max, delta, iter
             hz *= 0.5
             ht *= 0.5
     return val, z, t
+
+
+def grid_convolution_reference(zs, xs, n_radii, values, weights, indicator, nearest, r_max, delta):
+    """(verdict, value, z, x) of the convolution check decided over a polar grid.
+
+    `zs` are the grid's samples, radius-major with `len(zs) // n_radii`
+    angles per circle, and `xs` the boundary directions.  The callables
+    give the series pair (base, dir) at points, the weights and degenerate
+    mask (w, skip) of directions, the signed inside indicator at points,
+    and the circle direction nearest to annulling F = base + w dir at
+    points (nan where none).  The smallest |F| over all (point, direction)
+    pairs, one circle at a time, is lowered by the zeros that 80-step
+    bisection locates on every grid edge (angular, wrapping, then radial)
+    whose ends the indicator puts on opposite sides, each paired with its
+    nearest direction, and by the samples where the indicator is exactly
+    0.  With nothing below `delta`, a pattern search from the best pair
+    lowers it further.
+    """
+
+    def modulus(points, ts):
+        ws, skip = weights(np.exp(1j * ts))
+        base, dirv = values(points)
+        return np.where(skip, np.inf, np.abs(base + ws * dirv))
+
+    n_angles = len(zs) // n_radii
+    ws, skip = weights(xs)
+    best = (math.inf, 0j, 0j)
+    for row in zs.reshape(n_radii, n_angles):
+        value, i, j = dense_scan_minimum(*values(row), ws, skip)
+        if value < best[0]:
+            best = (value, complex(row[i]), complex(xs[j]))
+    ind = indicator(zs)
+    sign = np.where(np.isfinite(ind), np.sign(ind), 0.0).reshape(n_radii, n_angles)
+    edges = []
+    for r in range(n_radii):
+        for k in range(n_angles):
+            if sign[r, k] * sign[r, (k + 1) % n_angles] < 0:
+                edges.append((r * n_angles + k, r * n_angles + (k + 1) % n_angles))
+    for r in range(n_radii - 1):
+        for k in range(n_angles):
+            if sign[r, k] * sign[r + 1, k] < 0:
+                edges.append((r * n_angles + k, (r + 1) * n_angles + k))
+    hits = zs[ind == 0.0]
+    if edges:
+        ia, ib = np.array(edges).T
+        hits = np.concatenate([hits, bisect_reference(indicator, zs[ia], zs[ib], ind[ia])])
+    if len(hits):
+        x = nearest(hits)
+        ok = np.isfinite(x)
+        vals = np.where(ok, modulus(hits, np.angle(np.where(ok, x, 1.0))), np.inf)
+        k = int(np.argmin(vals))
+        if vals[k] < best[0]:
+            best = (float(vals[k]), complex(hits[k]), complex(x[k]))
+    if best[0] >= delta:
+        step_z = max(r_max / n_radii, r_max * 2.0 * np.pi / n_angles)
+        val, z, t = pattern_search_reference(
+            modulus, best[1], np.angle(best[2]), step_z, 2.0 * np.pi / len(xs), r_max, delta
+        )
+        if val < best[0]:
+            best = (val, z, complex(np.exp(1j * t)))
+    return ("member" if best[0] >= delta else "non-member"), *best

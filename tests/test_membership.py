@@ -40,10 +40,10 @@ from bml import (
     z_fprime,
 )
 import bml.membership as membership
+from bml.cli import main
 from bml.solvers import _NEWTON_STEPS, secant_zeros
 from bml.membership import (
     _SCAN_BLOCK,
-    _crossing_edges,
     _kept_rows,
     _preimage_roots,
     _scan_minimum,
@@ -52,6 +52,7 @@ from oracles import (
     bisect_reference,
     central_derivative,
     dense_scan_minimum,
+    grid_convolution_reference,
     pattern_search_reference,
     preimage_roots_reference,
 )
@@ -273,41 +274,6 @@ class TestPreimage:
         roots = _preimage_roots(PolynomialTheta(coefficients), t)
         for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
             assert np.array_equal(got, ref)  # same matrices, same LAPACK call
-
-
-def _crossing_edges_loop(indicator, n_radii, n_angles):
-    """Loop reference: angular edges r-major with wrap-around, then radial edges."""
-    ind = indicator.reshape(n_radii, n_angles)
-    finite = np.isfinite(ind)
-    s = np.sign(ind)
-    edges = []
-    for r in range(n_radii):
-        for k in range(n_angles):
-            k2 = (k + 1) % n_angles
-            if finite[r, k] and finite[r, k2] and s[r, k] * s[r, k2] < 0:
-                edges.append((r * n_angles + k, r * n_angles + k2))
-    for r in range(n_radii - 1):
-        for k in range(n_angles):
-            if finite[r, k] and finite[r + 1, k] and s[r, k] * s[r + 1, k] < 0:
-                edges.append((r * n_angles + k, (r + 1) * n_angles + k))
-    return edges
-
-
-class TestCrossingEdges:
-    def test_matches_loop_reference(self, rng):
-        values = np.array([-1.5, -0.2, 0.0, 0.7, 2.0, np.inf, -np.inf, np.nan])
-        for n_radii, n_angles in [(1, 8), (3, 8), (5, 13), (12, 64)]:
-            for _ in range(5):
-                ind = rng.choice(values, size=(n_radii, n_angles))
-                ind[0, -1], ind[0, 0] = -1.0, 1.0  # the wrap edge of the first circle
-                got = _crossing_edges(ind.ravel(), n_radii, n_angles)
-                ref = _crossing_edges_loop(ind.ravel(), n_radii, n_angles)
-                assert [tuple(e) for e in got] == ref
-                assert (n_angles - 1, 0) in ref
-
-    def test_no_crossings(self):
-        got = _crossing_edges(np.ones(24), 3, 8)
-        assert got.shape == (0, 2)
 
 
 class TestPhaseRatio:
@@ -561,6 +527,54 @@ class TestCheckConvolution:
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
 
 
+class TestProvenZero:
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize(
+        "tail,slope", [([-2.0], 2.2), ([0.0, -4.0], 5.0)], ids=["one-zero", "two-zeros"]
+    )
+    def test_zero_of_the_image_inside_an_inside_circle(self, which, tail, slope):
+        # G = 1/z - 2 vanishes at z = 1/2 (G = 1/z + c z at two points
+        # whose mean is 0), yet every annulling value on |z| = r_max lies
+        # inside the target region: only the winding of G about 0 (not -1)
+        # proves the zeros, and its contour moments find them
+        f = SigmaSeries(1.0, tail)
+        spec = ClassSpec(0.0, PolynomialTheta((1.0, slope)), "spirallike", BMLParams(1, 1, 1, 0))
+        grid = GridSpec()
+        s_base, s_dir = membership._scan_series(f, spec, which)
+        zs = grid.circle_points()
+        base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+        assert np.all(membership._inside_indicator(spec, base, dirv, which) < 0.0)
+        rep = check_convolution(f, spec, grid, which)
+        assert rep.verdict == "non-member"
+        assert abs(rep.witness_z) <= grid.r_max
+        assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_zero_inside_the_innermost_radius(self, which):
+        # every annulling value on |z| = r_max lies outside the disc target,
+        # and F vanishes near |z| = 0.05, inside the innermost of the 12
+        # radii, where no interior grid sees it; the direct check agrees
+        f = SigmaSeries(1.0, [-2.0])
+        spec = ClassSpec(-1.2, JanowskiTheta(0.5, 0.3), "spirallike", BMLParams(1, 1, 1, 0))
+        grid = GridSpec()
+        rep = check_convolution(f, spec, grid, which)
+        assert rep.verdict == "non-member" and abs(rep.witness_z) < grid.radii[0]
+        assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
+        assert check_direct(f, spec, grid).verdict == "non-member"
+
+    def test_zero_proven_but_not_located_is_inconclusive(self, monkeypatch, capsys, tmp_path):
+        def ends(fn, za, zb, fa):
+            return np.asarray(zb, dtype=complex)
+
+        monkeypatch.setattr(membership, "secant_zeros", ends)
+        with pytest.raises(InconclusiveError, match="none was located"):
+            check_convolution(SigmaSeries(1.0, [0.0, 40.0]), _spec(0.0, 0.0, -1.0), GridSpec())
+        src = tmp_path / "f.spec"
+        src.write_text("principal 1 0\ncoef 2 40 0\n")
+        assert main(["check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t2"]) == 2
+        assert "none was located" in capsys.readouterr().err
+
+
 _JET_THETAS = [
     JanowskiTheta(0.5, -0.3),
     JanowskiTheta(0.0, -1.0),
@@ -666,11 +680,12 @@ class TestSecantZeros:
     def test_matches_80_step_bisection_in_few_calls(self, fast_grid, theta):
         spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         s_base, s_dir = membership._scan_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
-        zs = fast_grid.z_points()
+        zs = fast_grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-        indicator = membership._inside_indicator(spec, base, dirv, "t1")
-        ia, ib = _crossing_edges(indicator, len(fast_grid.radii), fast_grid.angles).T
-        assert len(ia) > 0  # a non-member: its zero contour crosses the grid
+        # a non-member: the radii [0, z_k] of its outside samples bracket a zero
+        zb = zs[~(membership._inside_indicator(spec, base, dirv, "t1") < 0.0)]
+        za, fa = np.zeros(len(zb), dtype=complex), np.full(len(zb), -1.0)
+        assert len(zb) > 0
         calls = []
 
         def at(mid):
@@ -679,10 +694,10 @@ class TestSecantZeros:
                 spec, *membership._eval_series((s_base, s_dir), mid), "t1"
             )
 
-        ref = bisect_reference(at, zs[ia], zs[ib], indicator[ia])
+        ref = bisect_reference(at, za, zb, fa)
         calls.clear()
-        got = secant_zeros(at, zs[ia], zs[ib], indicator[ia])
-        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(zs[ib] - zs[ia]))
+        got = secant_zeros(at, za, zb, fa)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(zb - za))
         assert len(calls) <= 20
 
     @staticmethod
@@ -899,6 +914,9 @@ class TestScanMinimum:
         assert _scan_minimum(base, dirv, ws, few) == dense_scan_minimum(base, dirv, ws, few)
 
     def test_member_check_scans_few_rows(self, monkeypatch):
+        # the 12 x 256 disc samples of a member, the input the bound pass was
+        # written for; on the 256 points of |z| = r_max alone, where |F| of
+        # this near-constant f barely moves, it keeps 20-38 % of them
         fractions = []
 
         def counting(base, *args):
@@ -907,11 +925,11 @@ class TestScanMinimum:
             return kept
 
         monkeypatch.setattr(membership, "_kept_rows", counting)
-        f = SigmaSeries(1.0, [0.05, 0.02])
+        grid = GridSpec()
         for theta in (JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))):
-            spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
             for which in ("t1", "t2"):
-                assert check_convolution(f, spec, GridSpec(), which).is_member
+                base, dirv, ws, skip = self._curve_inputs(theta, which, grid, (0.05, 0.02))
+                assert _scan_minimum(base, dirv, ws, skip)[0] >= grid.min_modulus
         assert len(fractions) == 4 and max(fractions) < 0.1
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
@@ -1055,15 +1073,15 @@ def _univalent_polynomial(rng, degree):
     return (1.0, t1) + tuple(moduli * phases)
 
 
-def test_methods_agree_on_univalent_polynomial_classes():
-    """Direct, t1, t2 and (convex) Alexander verdicts agree with the label on
-    members rebuilt from a Schwarz function and on constructed non-members,
-    for univalent polynomial targets of degrees 2-4 (4 takes the
-    eigenvalue solve)."""
+@pytest.fixture(scope="module")
+def univalent_polynomial_classes():
+    """Sixteen classes on univalent polynomial targets of degrees 2-4 (4
+    takes the eigenvalue solve), as (i, degree, spec, member, non-member):
+    members rebuilt from a Schwarz function, non-members constructed."""
     rng = np.random.default_rng(4)
     grid = GridSpec()
     nonmember_grid = GridSpec(radii=grid.radii[-1:], angles=16)  # samples of `grid`
-    disagreements = []
+    out = []
     for i in range(16):
         kind, degree = ("spirallike", "convex")[i % 2], 2 + (i // 2) % 3
         params = BMLParams(
@@ -1078,17 +1096,59 @@ def test_methods_agree_on_univalent_polynomial_classes():
         omega = omega * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
         omega = SchwarzSpec(((0.0,) if kind == "convex" else ()) + tuple(omega))
         member = reconstruct_f(spec, omega, build_kernel(params, 64), 64, kind)
-        nonmember = construct_nonmember(member, spec, nonmember_grid)
+        out.append((i, degree, spec, member, construct_nonmember(member, spec, nonmember_grid)))
+    return out
+
+
+def test_methods_agree_on_univalent_polynomial_classes(univalent_polynomial_classes):
+    """Direct, t1, t2 and (convex) Alexander verdicts agree with the label."""
+    grid = GridSpec()
+    disagreements = []
+    for i, degree, spec, member, nonmember in univalent_polynomial_classes:
         checks = {
             "direct": check_direct,
             "t1": lambda f, s, g: check_convolution(f, s, g, "t1"),
             "t2": lambda f, s, g: check_convolution(f, s, g, "t2"),
         }
-        if kind == "convex":
+        if spec.kind == "convex":
             checks["alexander"] = check_alexander
         for f, label in ((member, "member"), (nonmember, "non-member")):
             for name, check in checks.items():
                 verdict = check(f, spec, grid).verdict
                 if verdict != label:
-                    disagreements.append((i, degree, kind, label, name, verdict))
+                    disagreements.append((i, degree, spec.kind, label, name, verdict))
     assert disagreements == []
+
+
+def _grid_reference(f, spec, grid, which):
+    """The convolution verdict decided over the whole polar grid of `grid`."""
+    s_base, s_dir = membership._scan_series(f, spec, which)
+
+    def values(zs):
+        return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+
+    return grid_convolution_reference(
+        grid.z_points(), grid.x_points(), len(grid.radii), values,
+        lambda xs: membership._direction_weights(spec, xs, which),
+        lambda zs: membership._inside_indicator(spec, *values(zs), which),
+        lambda zs: membership._nearest_circle_direction(spec, *values(zs), which),
+        grid.r_max, grid.min_modulus,
+    )
+
+
+def test_circle_decision_matches_grid_reference(univalent_polynomial_classes):
+    """The verdict on |z| = r_max is the interior grid's, and a member margin
+    is no higher than the grid's scan and pattern search find."""
+    grid = GridSpec()
+    for _, _, spec, member, nonmember in univalent_polynomial_classes:
+        for f in (member, nonmember):
+            for which in ("t1", "t2"):
+                rep = check_convolution(f, spec, grid, which)
+                verdict, margin, _, _ = _grid_reference(f, spec, grid, which)
+                assert rep.verdict == verdict
+                if verdict == "member":
+                    assert rep.margin <= margin * (1.0 + 1e-12)
+                else:
+                    assert abs(rep.witness_z) <= grid.r_max * (1.0 + 1e-15)
+                    val = convolution_value(f, spec, rep.witness_z, rep.witness_x, which)
+                    assert abs(val) < grid.min_modulus
