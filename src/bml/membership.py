@@ -16,8 +16,9 @@ series f is decided three independent ways:
 * ``check_convolution`` decides on |z| = r_max alone whether a convolution
   indexed by boundary directions vanishes in the punctured disc: a sample
   whose annulling value leaves the target region, or a winding of the
-  operator image other than -1, proves a zero, which a secant locates on a
-  radius; else a pair scan and Newton find the minimum modulus on the torus;
+  operator image other than -1, proves a zero, which Newton's method on
+  it locates (a secant is the safety net); else a pair scan and Newton
+  find the minimum modulus on the torus;
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -44,13 +45,11 @@ from .errors import (
 )
 from .laurent import SigmaSeries, alexander, binomial_series, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
-from .solvers import newton_minimum, secant_zeros
+from .solvers import newton_minimum, newton_zeros, secant_zeros
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
-# iteration bound of the Newton polish of a zero of G; it converges in a handful
-_NEWTON_ZERO_STEPS = 40
 
 
 # ---------------------------------------------------------------------------
@@ -433,6 +432,8 @@ def phase_ratio(
     G is the operator image of f.  Derivatives are taken exactly on the
     truncated series; the value is `phase_grid`'s at the one point z.
     """
+    if z == 0:
+        raise PoleError("the phase ratio has a pole at z = 0")
     q, skip = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
     if skip[0]:
         raise SingularPointError(f"the phase ratio's denominator vanishes near z = {z!r}")
@@ -592,27 +593,26 @@ def _eval_series(series, zs: np.ndarray) -> np.ndarray:
     return np.array([powers[:, : s.order] @ s.tail + s.principal * inv for s in series])
 
 
-def _torus_jet(series, spec: ClassSpec, which: str, radius: float, angles: np.ndarray):
-    """F = B + W D at z = radius e^{i phi}, x = e^{i t}, (phi, t) = angles,
-    with its derivatives in the angles.
-
-    `series` holds B, DB, D^2 B, D, DD, D^2 D with D = z d/dz.  Returns
-    (F, [F_phi, F_t], [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|),
-    or None for a degenerate direction: with d/dphi = i D and
-    d/dt = i x d/dx, F_phi = i (DB + W DD), F_phiphi = -(D^2 B + W D^2 D),
-    F_t = i W_1 D, F_tt = -W_2 D and F_phit = -W_1 DD.
+def _torus_jet(series, spec: ClassSpec, which: str, z, x):
+    """F = B + W D at z = rho e^{i phi} and x = e^{i t} (one point, or arrays
+    of one shape; one point runs in numpy scalars, cheaper than arrays and
+    rounded without the fused multiply-adds of array loops), with `series`
+    B, DB, D^2 B, D, DD, D^2 D (D = z d/dz).  Returns (F, [F_phi, F_t],
+    [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|, skip of degenerate
+    x): F_phi = i (DB + W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D),
+    F_tt = -W_2 D, F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho.
     """
-    b, b1, b2, d, d1, d2 = _eval_series(series, [radius * cmath.exp(1j * angles[0])])[:, 0]
-    w, w1, w2, skip = _direction_weights(spec, [cmath.exp(1j * angles[1])], which, True)
-    if skip[0]:
-        return None
-    w, w1, w2 = w[0], w1[0], w2[0]
+    vals = _eval_series(series, np.reshape(z, -1))
+    *ws, skip = _direction_weights(spec, np.reshape(x, -1), which, True)
+    if np.ndim(z) == 0:
+        vals, ws, skip = vals[:, 0], [v[0] for v in ws], skip[0]
+    (b, b1, b2, d, d1, d2), (w, w1, w2) = vals, ws
     grad = np.array([1j * (b1 + w * d1), 1j * w1 * d])
     hess = np.array([[-b2 - w * d2, -w1 * d1], [-w1 * d1, -w2 * d]])
-    return b + w * d, grad, hess, abs(b) + abs(w * d)
+    return b + w * d, grad, hess, abs(b) + abs(w * d), skip
 
 
-def _polish_minimum(s_base, s_dir, spec, which, z0, x0, radius):
+def _polish_minimum(series, spec, which, z0, x0, radius):
     """Newton's polish of the smallest |F| on the torus |z| = radius, |x| = 1.
 
     Runs when no zero was found: F then has no zero in 0 < |z| <= radius
@@ -621,12 +621,11 @@ def _polish_minimum(s_base, s_dir, spec, which, z0, x0, radius):
     of (z0, x0).  Returns (|F|, z, x, iterations); |F| is inf when x0 is a
     degenerate direction.
     """
-    d1 = [z_fprime(s) for s in (s_base, s_dir)]
-    series = (s_base, d1[0], z_fprime(d1[0]), s_dir, d1[1], z_fprime(d1[1]))
-    angles, val, steps = newton_minimum(
-        lambda a: _torus_jet(series, spec, which, radius, a),
-        np.array([cmath.phase(z0), cmath.phase(x0)]),
-    )
+
+    def jet(a):
+        return _torus_jet(series, spec, which, radius * cmath.exp(1j * a[0]), cmath.exp(1j * a[1]))
+
+    angles, val, steps = newton_minimum(jet, np.array([cmath.phase(z0), cmath.phase(x0)]))
     return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
 
 
@@ -788,16 +787,15 @@ def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.n
     return best
 
 
-def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray):
-    """Zeros of G inside the circle that `zs` samples evenly (g = G(zs)), or
-    None when G winds -1 times about 0 along it (only its pole at 0 inside).
-    The winding + 1 zeros are the roots of the polynomial that Newton's
-    identities build from their power sums, the contour moments of
-    z^p G'/G: on the circle the trapezoid means of z^p (z G'/G) (Delves &
-    Lyness, Math. Comp. 21, 1967).  Newton on G polishes each root."""
+def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: float):
+    """Zeros of G inside the circle that `zs` samples evenly (g = G(zs)),
+    none when G winds -1 times about 0 along it (only its pole at 0 inside):
+    the roots of the polynomial that Newton's identities build from their
+    power sums, the trapezoid means of z^p (z G'/G) (Delves & Lyness, Math.
+    Comp. 21, 1967), polished by `newton_zeros` on G within |z| <= r_max."""
     count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
     if count == 0:
-        return None
+        return np.empty(0, dtype=complex)
     d_pole = z_fprime(s_pole)
     ratio = evaluate_grid(d_pole, zs) / g
     sums = [np.mean(zs**p * ratio) for p in range(1, count + 1)]
@@ -805,37 +803,44 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray):
     for k in range(1, count + 1):
         elem.append(sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
     z = np.roots([(-1) ** k * e for k, e in enumerate(elem)]).astype(complex)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(_NEWTON_ZERO_STEPS):
-            gz, zg = _eval_series((s_pole, d_pole), z)
-            step = z * gz / zg  # G/G', with G' = (z G')/z
-            live = np.isfinite(step) & (np.abs(step) > 4.0 * np.finfo(float).eps * np.abs(z))
-            if not live.any():
-                break
-            z = np.where(live, z - step, z)
-    return z
+
+    def jet(rho, phi):  # G in polar coordinates; |G| <= 4 eps |z G'| is |Newton step| <= 4 eps |z|
+        gz, zg = _eval_series((s_pole, d_pole), rho * np.exp(1j * phi))
+        return gz, zg / rho, 1j * zg, np.abs(zg), ~np.isfinite(gz)
+
+    rho, phi, _, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
+    return rho * np.exp(1j * phi)
 
 
-def _zero_witness(s_base, s_dir, spec: ClassSpec, which: str, ends, grid: GridSpec):
-    """(|F|, z, x) at the best of the zeros of F that a secant locates on
-    the radii [0, z_k], taking the indicator's limit -1 at 0, each paired
-    with its nearest circle direction; `InconclusiveError` when that |F|
-    is not below grid.min_modulus (a zero proven but not located)."""
+def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
+    """(|F|, z, x) at the best zero of F on the rays to the points `ends`, by
+    `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the nearest circle
+    direction), else by the secant on the inside indicator over [0, z_k];
+    `InconclusiveError` when neither gets |F| below grid.min_modulus."""
+    pair = (series[0], series[3])
+    u = ends / np.abs(ends)
 
-    def inside(z):
-        return _inside_indicator(spec, *_eval_series((s_base, s_dir), z), which)
+    def jet(rho, t):
+        f, (f_phi, f_t), _, scale, skip = _torus_jet(series, spec, which, rho * u, np.exp(1j * t))
+        return f, -1j * f_phi / rho, f_t, scale, skip
 
-    hits = secant_zeros(inside, np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0))
-    hits = hits[np.isfinite(hits) & (hits != 0)]
-    bh, dh = _eval_series((s_base, s_dir), hits)
-    x = _nearest_circle_direction(spec, bh, dh, which)
-    ok = np.isfinite(x)
-    w, skip = _direction_weights(spec, np.where(ok, x, 1.0), which)
-    vals = np.where(ok & ~skip, np.abs(bh + w * dh), np.inf)
+    x = _nearest_circle_direction(spec, *_eval_series(pair, ends), which)
+    rho, t, size, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
+    z, x = rho * u, np.exp(1j * t)
+    if not np.any(size < grid.min_modulus):
+        z = secant_zeros(
+            lambda z: _inside_indicator(spec, *_eval_series(pair, z), which),
+            np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
+        )
+        z = z[np.isfinite(z) & (z != 0)]
+        x = _nearest_circle_direction(spec, *_eval_series(pair, z), which)
+    w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
+    bz, dz = _eval_series(pair, z)
+    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(bz + w * dz))
     if not np.any(vals < grid.min_modulus):
         raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
     k = int(np.argmin(vals))
-    return float(vals[k]), complex(hits[k]), complex(x[k])
+    return float(vals[k]), complex(z[k]), complex(x[k])
 
 
 def check_convolution(
@@ -849,14 +854,14 @@ def check_convolution(
     only poles are the zeros of the operator image G (base - dir for t1,
     dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
     region at a sample of |z| = r_max (grid.angles of them; grid.radii is
-    not used), or the winding of G along that circle is not -1.  The
-    radius to such a sample, or to each zero of G that its contour moments
-    give, brackets a zero of F that a secant locates to rounding: a non-member,
-    or `InconclusiveError` when none falls below grid.min_modulus.  With
-    no zero, |F| is smallest on the torus |z| = r_max, |x| = 1, where the
-    pair scan (`_scan_minimum`) and Newton's method in the two angles find
-    it: member iff it is at least grid.min_modulus.  For the convex kind
-    the test is applied to -z f'.
+    not used), or the winding of G along that circle is not -1.  On the
+    ray to such a sample or to a zero of G (from its contour moments),
+    Newton's method on F locates a zero, a bracketed secant its safety
+    net: a non-member, or `InconclusiveError` when no |F| falls below
+    grid.min_modulus.  With no zero, |F| is smallest on the torus
+    |z| = r_max, |x| = 1, where the pair scan (`_scan_minimum`) and
+    Newton's method in the two angles find it: member iff it is at least
+    grid.min_modulus.  For the convex kind the test is applied to -z f'.
     """
     _require_sigma(f)
     _require_univalent(spec.theta)
@@ -870,20 +875,19 @@ def check_convolution(
         raise InconclusiveError("every boundary direction is degenerate")
     base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
     ends = zs[~(_inside_indicator(spec, base, dirv, which) < 0.0)]
-    proven = len(ends) > 0
-    if not proven:
+    if len(ends) == 0:
         s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
-        zeros = _image_zeros(s_pole, zs, g)
-        if zeros is not None:  # kept on |z| <= r_max, where the winding puts them
-            proven, ends = True, zeros * (grid.r_max / np.maximum(np.abs(zeros), grid.r_max))
-    if proven:
-        best_val, best_z, best_x = _zero_witness(s_base, s_dir, spec, which, ends, grid)
+        ends = _image_zeros(s_pole, zs, g, grid.r_max)
+    d1 = [z_fprime(s) for s in (s_base, s_dir)]
+    series = (s_base, d1[0], z_fprime(d1[0]), s_dir, d1[1], z_fprime(d1[1]))
+    if len(ends) > 0:
+        best_val, best_z, best_x = _zero_witness(series, spec, which, ends, grid)
     else:
         best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
         best_z, best_x = complex(zs[i0]), complex(xs[j0])
         if best_val >= grid.min_modulus:
             val, z_ref, x_ref, _ = _polish_minimum(
-                s_base, s_dir, spec, which, best_z, best_x, grid.r_max
+                series, spec, which, best_z, best_x, grid.r_max
             )
             if val < best_val:
                 best_val, best_z, best_x = val, z_ref, x_ref
@@ -902,6 +906,8 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     """Scan value at one (z, x) pair with |x| = 1, for report re-evaluation."""
     _require_which(which)
     _require_on_circle(x)
+    if z == 0:
+        raise PoleError("the convolution has a pole at z = 0")
     s_base, s_dir = _scan_series(f, spec, which)
     ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
     if skip[0]:

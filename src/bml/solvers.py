@@ -1,11 +1,8 @@
-"""Superlinear iterations that polish the witnesses of the convolution check.
-
-Both take the function they work on from the caller:
-
-* ``secant_zeros`` locates a sign change of a real function on each of a
-  batch of complex segments, by the Illinois variant of regula falsi;
-* ``newton_minimum`` minimises |F|^2 over two angles by Newton's method
-  with the exact Hessian, safeguarded by backtracking and Cauchy steps.
+"""Superlinear iterations that polish the witnesses of the convolution check,
+each on a function the caller gives: ``newton_zeros`` locates zeros in two
+real unknowns by Newton's method, with ``secant_zeros`` (Illinois regula
+falsi on segments) as its bracketed safety net, and ``newton_minimum``
+minimises |F|^2 over two angles by a safeguarded Newton's method.
 """
 
 from __future__ import annotations
@@ -21,8 +18,37 @@ _SECANT_STEPS = 60
 _NEWTON_STEPS = 40
 # halvings of a step that does not lower |F|^2 before the next one is tried
 _BACKTRACKS = 8
-# longest step, in either angle, that the polish takes at once
+# longest step in an angle that the polish or the zero search takes at once
 _MAX_STEP = 0.1
+# step budget of the Newton zero search (zeros near its starts close in 3-4)
+_ZERO_STEPS = 8
+
+
+def newton_zeros(jet, rho: np.ndarray, t: np.ndarray, r_max: float):
+    """Zeros of a complex F(rho, t) in the real unknowns rho and t, per start.
+
+    jet(rho, t) gives (F, F_rho, F_t, scale, undefined) for the batch, scale
+    the size of the terms summed into F.  A step solves F_rho d_rho + F_t
+    d_t = -F by Cramer's rule (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004), keeps rho in [rho/2, r_max] and |d_t| <= _MAX_STEP.  A
+    start is done once |F| <= 4 eps scale, or F is undefined or did not fall
+    (rounding).  Returns per start (rho, t, |F|) at its least |F|, and steps.
+    """
+    best = [rho, t, np.full(len(rho), math.inf)]
+    for steps in range(_ZERO_STEPS + 1):
+        f, f_rho, f_t, scale, undefined = jet(rho, t)
+        size = np.where(undefined, math.inf, np.abs(f))
+        live = size < best[2]
+        best = [np.where(live, new, old) for new, old in zip((rho, t, size), best)]
+        live &= size > 4 * _EPS * scale
+        if steps == _ZERO_STEPS or not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (f_rho * f_t.conjugate()).imag
+            d_rho, d_t = -(f * f_t.conjugate()).imag / c, (f * f_rho.conjugate()).imag / c
+        rho = np.where(live, np.clip(rho + d_rho, 0.5 * rho, r_max), rho)
+        t = np.where(live, t + np.clip(d_t, -_MAX_STEP, _MAX_STEP), t)
+    return (*best, steps)
 
 
 def secant_zeros(fn, za, zb, fa) -> np.ndarray:
@@ -71,9 +97,9 @@ def secant_zeros(fn, za, zb, fa) -> np.ndarray:
 def newton_minimum(jet, angles: np.ndarray):
     """Local minimum of g = |F|^2 over two angles, from `angles`.
 
-    jet(angles) gives (F, [F_1, F_2], [[F_11, F_12], [F_21, F_22]], scale),
-    the partial derivatives of F in the angles and the size of the terms
-    whose sum is F, or None where F is undefined (which counts as +inf).
+    jet(angles) gives (F, [F_1, F_2], [[F_11, F_12], [F_21, F_22]], scale,
+    undefined): the partial derivatives of F in the angles, the size of the
+    terms whose sum is F, and whether F is undefined (which counts as +inf).
     Each step uses the exact gradient 2 Re(conj(F) F_a) and Hessian
     2 Re(conj(F_a) F_b + conj(F) F_ab) of g (Nocedal & Wright, Numerical
     Optimization, 2006).  Where the Hessian is not positive definite, or
@@ -81,13 +107,13 @@ def newton_minimum(jet, angles: np.ndarray):
     step along the gradient takes over.  It stops once the step is below
     1e-14 in both angles, the decrease the quadratic model predicts is
     below the rounding of g, or no step lowers g.  Returns
-    (angles, |F|, iterations); |F| is inf when jet is None at the start.
+    (angles, |F|, iterations); |F| is inf when F is undefined at the start.
     """
     at = jet(angles)
-    if at is None:
+    if at[4]:
         return angles, math.inf, 0
     for steps in range(1, _NEWTON_STEPS + 1):
-        f, df, ddf, scale = at
+        f, df, ddf, scale, _ = at
         g = abs(f) ** 2
         grad = 2.0 * (f.conjugate() * df).real
         hess = 2.0 * (np.outer(df.conjugate(), df) + f.conjugate() * ddf).real
@@ -110,7 +136,7 @@ def newton_minimum(jet, angles: np.ndarray):
             move = move * min(1.0, _MAX_STEP / np.abs(move).max())
             for _ in range(_BACKTRACKS + 1):
                 trial = jet(angles + move)
-                if trial is not None and abs(trial[0]) ** 2 < g:
+                if not trial[4] and abs(trial[0]) ** 2 < g:
                     break
                 move = 0.5 * move
             else:

@@ -41,7 +41,7 @@ from bml import (
 )
 import bml.membership as membership
 from bml.cli import main
-from bml.solvers import _NEWTON_STEPS, secant_zeros
+from bml.solvers import _NEWTON_STEPS, _ZERO_STEPS, secant_zeros
 from bml.membership import (
     _SCAN_BLOCK,
     _kept_rows,
@@ -303,6 +303,12 @@ class TestPhaseRatio:
         with pytest.raises(SingularPointError):
             phase_ratio(f, _spec(), 0.5)
 
+    def test_pole_at_origin_raises(self):
+        # as evaluate(f, 0) does, not a silent nan
+        for kind in ("spirallike", "convex"):
+            with pytest.raises(PoleError):
+                phase_ratio(SigmaSeries(1.0, [0.1, 0.05]), _spec(kind=kind), 0)
+
 
 class TestCheckDirect:
     def test_pole_member_everywhere(self, rng, fast_grid):
@@ -487,6 +493,13 @@ class TestCheckConvolution:
         with pytest.raises(ValueError, match="unit circle"):
             epsilon_t1(3.0, spec)
 
+    def test_convolution_value_at_the_pole_raises(self):
+        # as evaluate(f, 0) does, not a silent nan
+        f, spec = SigmaSeries(1.0, [0.1, 0.05]), _spec(0.2, 0.5, -0.3)
+        for which in ("t1", "t2"):
+            with pytest.raises(PoleError):
+                convolution_value(f, spec, 0, 1j, which)
+
     def test_nonmember_witness_reproduces_margin(self, fast_grid):
         spec = _spec(0.0, 0.0, -1.0)
         bad = construct_nonmember(extremal_function(0.5, 0.0, 16), spec, fast_grid)
@@ -527,12 +540,35 @@ class TestCheckConvolution:
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
 
 
+def _counted(monkeypatch, name, fake=None):
+    """Replace membership.<name> by `fake` (default: the real one), recording
+    the result of every call in the list returned."""
+    fn, calls = fake or getattr(membership, name), []
+
+    def counted(*args):
+        calls.append(fn(*args))
+        return calls[-1]
+
+    monkeypatch.setattr(membership, name, counted)
+    return calls
+
+
+def _newton_stays(jet, rho, t, r_max):
+    """A Newton zero search that takes no step: it returns its starts, and
+    |F| there."""
+    f, *_, undefined = jet(rho, t)
+    return rho, t, np.where(undefined, np.inf, np.abs(f)), 0
+
+
 class TestProvenZero:
+    @pytest.mark.parametrize("newton", ["real", "stays"])
     @pytest.mark.parametrize("which", ["t1", "t2"])
     @pytest.mark.parametrize(
         "tail,slope", [([-2.0], 2.2), ([0.0, -4.0], 5.0)], ids=["one-zero", "two-zeros"]
     )
-    def test_zero_of_the_image_inside_an_inside_circle(self, which, tail, slope):
+    def test_zero_of_the_image_inside_an_inside_circle(
+        self, monkeypatch, which, tail, slope, newton
+    ):
         # G = 1/z - 2 vanishes at z = 1/2 (G = 1/z + c z at two points
         # whose mean is 0), yet every annulling value on |z| = r_max lies
         # inside the target region: only the winding of G about 0 (not -1)
@@ -544,35 +580,52 @@ class TestProvenZero:
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         assert np.all(membership._inside_indicator(spec, base, dirv, which) < 0.0)
+        # with Newton held at its starts, the secant locates the zero
+        if newton == "stays":
+            _counted(monkeypatch, "newton_zeros", _newton_stays)
+        secants = _counted(monkeypatch, "secant_zeros")
         rep = check_convolution(f, spec, grid, which)
+        assert newton == "real" or len(secants) == 1
         assert rep.verdict == "non-member"
         assert abs(rep.witness_z) <= grid.r_max
         assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
 
+    @pytest.mark.parametrize("newton", ["real", "stays"])
     @pytest.mark.parametrize("which", ["t1", "t2"])
-    def test_zero_inside_the_innermost_radius(self, which):
+    def test_zero_inside_the_innermost_radius(self, monkeypatch, which, newton):
         # every annulling value on |z| = r_max lies outside the disc target,
         # and F vanishes near |z| = 0.05, inside the innermost of the 12
         # radii, where no interior grid sees it; the direct check agrees
         f = SigmaSeries(1.0, [-2.0])
         spec = ClassSpec(-1.2, JanowskiTheta(0.5, 0.3), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
+        # with Newton held at its starts, the secant locates the zero
+        if newton == "stays":
+            _counted(monkeypatch, "newton_zeros", _newton_stays)
+        secants = _counted(monkeypatch, "secant_zeros")
         rep = check_convolution(f, spec, grid, which)
+        assert newton == "real" or len(secants) == 1
         assert rep.verdict == "non-member" and abs(rep.witness_z) < grid.radii[0]
         assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
         assert check_direct(f, spec, grid).verdict == "non-member"
 
     def test_zero_proven_but_not_located_is_inconclusive(self, monkeypatch, capsys, tmp_path):
+        # both locators fail: Newton ends where it started, where |F| is
+        # above min_modulus, and the secant returns the far ends of its segments
         def ends(fn, za, zb, fa):
             return np.asarray(zb, dtype=complex)
 
-        monkeypatch.setattr(membership, "secant_zeros", ends)
+        newtons = _counted(monkeypatch, "newton_zeros", _newton_stays)
+        secants = _counted(monkeypatch, "secant_zeros", ends)
         with pytest.raises(InconclusiveError, match="none was located"):
             check_convolution(SigmaSeries(1.0, [0.0, 40.0]), _spec(0.0, 0.0, -1.0), GridSpec())
+        assert len(newtons) == len(secants) == 1
+        assert np.all(newtons[0][2] >= GridSpec().min_modulus)
         src = tmp_path / "f.spec"
         src.write_text("principal 1 0\ncoef 2 40 0\n")
         assert main(["check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t2"]) == 2
         assert "none was located" in capsys.readouterr().err
+        assert len(newtons) == len(secants) == 2
 
 
 _JET_THETAS = [
@@ -606,15 +659,25 @@ class TestPolishMinimum:
             for s in (pair, z_fprime(pair), z_fprime(z_fprime(pair)))
         ]
 
-        def jet(phi, t):
-            return membership._torus_jet(series, spec, which, 0.9, np.array([phi, t]))
+        def jet(phi, t, rho=0.9):
+            z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
+            return membership._torus_jet(series, spec, which, z, x)
 
-        def value(phi, t):
-            return jet(phi, t)[0]
+        def value(phi, t, rho=0.9):
+            return jet(phi, t, rho)[0]
 
-        for phi, t in ((0.4, 1.1), (2.5, -2.0), (-1.3, 0.2)):
-            _, (fp, ft), ((fpp, fpt), (ftp, ftt)), scale = jet(phi, t)
-            assert fpt == ftp
+        points = ((0.4, 1.1), (2.5, -2.0), (-1.3, 0.2))
+        # the batch the zero search evaluates, with d/drho = -i F_phi / rho
+        phis, ts = np.array(points).T
+        batch = membership._torus_jet(
+            series, spec, which, 0.9 * np.exp(1j * phis), np.exp(1j * ts)
+        )
+        assert not batch[4].any()
+        for k, (phi, t) in enumerate(points):
+            f0, (fp, ft), ((fpp, fpt), (ftp, ftt)), scale, skip = jet(phi, t)
+            assert fpt == ftp and not skip
+            assert abs(batch[0][k] - f0) <= 1e-15 * scale
+            radial = central_derivative(lambda r: value(phi, t, r.real), 0.9)
             h = 1e-4
             mixed = (
                 value(phi + h, t + h) - value(phi + h, t - h)
@@ -626,6 +689,9 @@ class TestPolishMinimum:
                 (fpp, central_derivative(lambda p: value(p.real, t), phi, h, order=2)),
                 (ftt, central_derivative(lambda q: value(phi, q.real), t, h, order=2)),
                 (fpt, mixed),
+                (-1j * fp / 0.9, radial),
+                (-1j * batch[1][0, k] / 0.9, radial),
+                (batch[1][1, k], central_derivative(lambda q: value(phi, q.real), t)),
             ]
             for analytic, numeric in pairs:
                 assert abs(analytic - numeric) <= 1e-6 * max(scale, abs(analytic))
@@ -1118,6 +1184,28 @@ def test_methods_agree_on_univalent_polynomial_classes(univalent_polynomial_clas
                 if verdict != label:
                     disagreements.append((i, degree, spec.kind, label, name, verdict))
     assert disagreements == []
+
+
+def test_newton_locates_the_zeros_of_univalent_polynomial_nonmembers(
+    univalent_polynomial_classes, monkeypatch
+):
+    """Newton on F locates every non-member's zero within its step budget
+    (t1 and t2), and the secant, its safety net, never runs."""
+
+    def no_secant(*args):
+        raise AssertionError("the secant ran")
+
+    newtons = _counted(monkeypatch, "newton_zeros")
+    monkeypatch.setattr(membership, "secant_zeros", no_secant)
+    grid = GridSpec()
+    for _, _, spec, _, nonmember in univalent_polynomial_classes:
+        for which in ("t1", "t2"):
+            rep = check_convolution(nonmember, spec, grid, which)
+            assert rep.verdict == "non-member" and abs(rep.witness_z) <= grid.r_max
+            val = convolution_value(nonmember, spec, rep.witness_z, rep.witness_x, which)
+            assert abs(val) == pytest.approx(rep.margin, abs=1e-15)
+            assert rep.margin < grid.min_modulus
+    assert len(newtons) == 32 and max(steps for *_, steps in newtons) < _ZERO_STEPS
 
 
 def _grid_reference(f, spec, grid, which):
