@@ -4,15 +4,15 @@ A class is described by a spiral angle, a boundary target (Möbius or
 polynomial), the operator parameters, and a kind.  Membership of a
 series f is decided three independent ways:
 
-* ``check_direct`` samples the phase ratio of the operator image over a
-  polar grid and tests containment in the target region (subordination
-  reduces to range containment because the target is univalent and both
-  sides agree at the origin; a polynomial target whose derivative
-  vanishes in the disc is refused).  For a polynomial target, containment
-  of w is decided by solving Theta(x) = theta_need(w) for every root of
-  every sample at once (closed forms up to degree 3, one batched
-  companion-matrix eigenvalue solve above): w lies in the region exactly
-  when the root nearest the origin lies in the unit disc;
+* ``check_direct`` decides on |z| = r_max alone whether the phase ratio q
+  of the operator image maps the disc into the target region (range
+  containment is subordination, as the target is univalent and both sides
+  agree at the origin; a polynomial target whose derivative vanishes in
+  the disc is refused): q is inside at every circle sample, and the series
+  whose zeros are the poles of q winds -1 times about 0.  For a polynomial
+  target, w is inside exactly when the root of Theta(x) = theta_need(w)
+  nearest the origin lies in the unit disc (all samples at once: closed
+  forms up to degree 3, one batched companion-matrix eigenvalue solve above);
 * ``check_convolution`` decides on |z| = r_max alone whether a convolution
   indexed by boundary directions vanishes in the punctured disc: a sample
   whose annulling value leaves the target region, or a winding of the
@@ -50,6 +50,8 @@ from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
+_RECOUNT_SAMPLES = 1 << 14  # most samples of a winding recount
+_RING, _RING_SHRINKS = np.exp(2j * np.pi * np.arange(16) / 16), 16  # see `_pole_witness`
 
 
 # ---------------------------------------------------------------------------
@@ -150,9 +152,9 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling plan: the polar grid `radii` x `angles` of `check_direct`,
-    `check_alexander` and the boundary curve, whereas the convolution checks
-    sample |z| = r_max alone, at `angles` points; `boundary_x` directions."""
+    """Sampling plan: every check samples |z| = r_max alone, at `angles`
+    points, and the convolution checks `boundary_x` directions; the polar
+    grid `radii` x `angles` serves only the boundary curve."""
 
     radii: tuple = ()
     r_max: float = 0.99
@@ -179,7 +181,7 @@ class GridSpec:
         return self.r_max * np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
 
     def z_points(self) -> np.ndarray:
-        """Interior samples, radius-major then angle, deterministic order."""
+        """Samples of the polar grid, radius-major then angle, deterministic order."""
         ang = np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
         return (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
 
@@ -434,27 +436,23 @@ def phase_ratio(
     """
     if z == 0:
         raise PoleError("the phase ratio has a pole at z = 0")
-    q, skip = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
+    q, skip, *_ = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
     if skip[0]:
         raise SingularPointError(f"the phase ratio's denominator vanishes near z = {z!r}")
     return complex(q[0])
 
 
 def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
-    """Vectorized phase ratios plus the mask of singular sample points."""
+    """Vectorized phase ratios q = z P'/P, the mask of singular sample
+    points, P and P(zs).  P is the operator image G (spirallike kind) or
+    z G' (convex kind, q as 1 + (z P' - P)/P): its zeros are the poles of q."""
     g = _bml_image(f, spec.params)
-    d1 = z_fprime(g)
-    if spec.kind == "spirallike":
-        den = evaluate_grid(g, zs)
-        num = evaluate_grid(d1, zs)
-        skip = np.abs(den) < min_modulus
-        q = num / np.where(skip, 1.0, den)
-    else:
-        den = evaluate_grid(d1, zs)
-        num = evaluate_grid(z_fprime(d1), zs) - den
-        skip = np.abs(den) < min_modulus
-        q = 1.0 + num / np.where(skip, 1.0, den)
-    return q, skip
+    p = g if spec.kind == "spirallike" else z_fprime(g)
+    den = evaluate_grid(p, zs)
+    num = evaluate_grid(z_fprime(p), zs) - (den if spec.kind == "convex" else 0.0)
+    skip = np.abs(den) < min_modulus
+    q = num / np.where(skip, 1.0, den)
+    return (1.0 + q if spec.kind == "convex" else q), skip, p, den
 
 
 # ---------------------------------------------------------------------------
@@ -467,28 +465,33 @@ def _require_sigma(f: SigmaSeries):
 
 
 def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipReport:
-    """Sampled subordination test: every phase ratio must sit in the target region.
-
-    Singular sample points are skipped and counted; more than 1% of them
-    makes the verdict untrustworthy and raises `InconclusiveError`.
-    """
+    """Subordination test on |z| = r_max: member iff the phase ratio
+    q = z P'/P (`phase_grid`) is in the target region at the grid.angles
+    samples of the circle (grid.radii is not used) and P winds -1 times
+    about 0 along it.  q tends to -1 = Phi(0) at 0, and its poles, the
+    zeros of P, leave the region; with none, q is analytic on the disc, so
+    by the argument principle it maps the disc into the simply connected
+    region iff it maps the circle into it.  The margin is the smallest over
+    the circle samples, the disc minimum for a Janowski target (its margin
+    is superharmonic in q); a polynomial margin cos(lam) |Theta'(x)| (1 - |x|)
+    is not, so its disc minimum may be interior.  More than 1% singular
+    samples (skipped, counted) raises `InconclusiveError`."""
     _require_sigma(f)
     _require_univalent(spec.theta)
-    zs = grid.z_points()
-    q, skip = phase_grid(f, spec, zs, grid.min_modulus)
+    zs = grid.circle_points()
+    q, skip, p, den = phase_grid(f, spec, zs, grid.min_modulus)
     skipped = int(skip.sum())
     if skipped > 0.01 * len(zs):
-        raise InconclusiveError(
-            f"{skipped} of {len(zs)} sample points were singular; verdict withheld"
-        )
-    margins = region_margins(spec, q)
-    margins = np.where(skip, np.inf, margins)
+        raise InconclusiveError(f"{skipped} of {len(zs)} samples were singular; verdict withheld")
+    margins = np.where(skip, np.inf, region_margins(spec, q))
     idx = int(np.argmin(margins))
-    margin = float(margins[idx])
+    margin, witness = float(margins[idx]), complex(zs[idx])
+    if margin > 0.0 and len(zeros := _image_zeros(p, zs, den, grid.r_max)):
+        margin, witness = _pole_witness(f, spec, zeros[0], grid)
     return MembershipReport(
         verdict="member" if margin > 0.0 else "non-member",
         margin=margin,
-        witness_z=complex(zs[idx]),
+        witness_z=witness,
         witness_x=None,
         method="direct",
         skipped=skipped,
@@ -496,12 +499,26 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
 
 
 def check_alexander(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipReport:
-    """Convex membership via the transform route: run the spirallike check on -z f'."""
+    """Convex membership via the transform route: spirallike `check_direct` of -z f'."""
     if spec.kind != "convex":
         raise ValueError("the transform route only answers convex-kind queries")
     spiral = replace(spec, kind="spirallike")
     rep = check_direct(alexander(f), spiral, grid)
     return replace(rep, method="alexander")
+
+
+def _pole_witness(f: SigmaSeries, spec: ClassSpec, z0: complex, grid: GridSpec):
+    """(margin, z) at the sample furthest outside the region of a ring about
+    the pole z0 of q within |z| <= r_max, of radius |z0|/2 shrunk by 4 until
+    one is outside (on a ray to z0, q can tend to infinity in a half-plane)."""
+    for h in 0.5 * abs(z0) * 0.25 ** np.arange(_RING_SHRINKS):
+        zs = z0 + h * _RING
+        zs = np.where(np.abs(zs) > grid.r_max, zs * (grid.r_max / np.abs(zs)), zs)
+        q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
+        margins = np.where(skip, np.inf, region_margins(spec, q))
+        if margins.min() <= 0.0:
+            return float(margins.min()), complex(zs[np.argmin(margins)])
+    raise InconclusiveError(f"the phase ratio has a pole at z = {z0}, but nothing near is outside")
 
 
 # ---------------------------------------------------------------------------
@@ -788,11 +805,13 @@ def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.n
 
 
 def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: float):
-    """Zeros of G inside the circle that `zs` samples evenly (g = G(zs)),
-    none when G winds -1 times about 0 along it (only its pole at 0 inside):
-    the roots of the polynomial that Newton's identities build from their
-    power sums, the trapezoid means of z^p (z G'/G) (Delves & Lyness, Math.
-    Comp. 21, 1967), polished by `newton_zeros` on G within |z| <= r_max."""
+    """Zeros of G (simple pole at 0) in 0 < |z| <= r_max, from g = G(zs) at the
+    even samples zs of |z| = r_max: none when G winds -1 times about 0 along
+    it, else the roots of the polynomial that Newton's identities build from
+    the trapezoid means of z^p (z G'/G) (Delves & Lyness, Math. Comp. 21,
+    1967), polished by `newton_zeros`, that reach |G| <= 4 eps |z G'|.  A count
+    that none backs may be aliased: it is taken again with 4x the samples, up
+    to _RECOUNT_SAMPLES, and then `InconclusiveError` is raised."""
     count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
     if count == 0:
         return np.empty(0, dtype=complex)
@@ -808,8 +827,14 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
         gz, zg = _eval_series((s_pole, d_pole), rho * np.exp(1j * phi))
         return gz, zg / rho, 1j * zg, np.abs(zg), ~np.isfinite(gz)
 
-    rho, phi, _, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
-    return rho * np.exp(1j * phi)
+    rho, phi, size, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
+    located = size <= 4 * np.finfo(float).eps * jet(rho, phi)[3]
+    if located.any():
+        return (rho * np.exp(1j * phi))[located]
+    if 4 * len(zs) > _RECOUNT_SAMPLES:
+        raise InconclusiveError(f"a zero of G in |z| <= {r_max} is proven, but none was located")
+    zs = r_max * np.exp(2j * np.pi * np.arange(4 * len(zs)) / (4 * len(zs)))
+    return _image_zeros(s_pole, zs, evaluate_grid(s_pole, zs), r_max)
 
 
 def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
@@ -826,6 +851,11 @@ def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
 
     x = _nearest_circle_direction(spec, *_eval_series(pair, ends), which)
     rho, t, size, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
+    k = int(np.argmin(size))  # a start far from its zero can spend the step budget halving rho
+    scale = _torus_jet(series, spec, which, rho[k] * u[k], np.exp(1j * t[k]))[3]
+    if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale:
+        u, rho, t = u[k : k + 1], rho[k : k + 1], t[k : k + 1]
+        rho, t, size, _ = newton_zeros(jet, rho, t, grid.r_max)
     z, x = rho * u, np.exp(1j * t)
     if not np.any(size < grid.min_modulus):
         z = secant_zeros(
@@ -854,8 +884,8 @@ def check_convolution(
     only poles are the zeros of the operator image G (base - dir for t1,
     dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
     region at a sample of |z| = r_max (grid.angles of them; grid.radii is
-    not used), or the winding of G along that circle is not -1.  On the
-    ray to such a sample or to a zero of G (from its contour moments),
+    not used), or G has a zero inside (`_image_zeros`: a winding other than
+    -1 that a located zero backs).  On the ray to such a sample or zero,
     Newton's method on F locates a zero, a bracketed secant its safety
     net: a non-member, or `InconclusiveError` when no |F| falls below
     grid.min_modulus.  With no zero, |F| is smallest on the torus

@@ -8,8 +8,9 @@ the convolution scan minimum from one dense matrix and np.argmin,
 series composition by Horner's rule over full-length convolutions,
 sign bisection by a fixed 80 steps over a caller-supplied indicator,
 the convolution minimum by a 27-point pattern search over a
-caller-supplied modulus, and the convolution verdict by all three over
-the whole polar grid.
+caller-supplied modulus, the convolution verdict by all three over the
+whole polar grid, and the direct verdict by the smallest region margin
+over the whole polar grid.
 """
 
 import math
@@ -239,3 +240,18 @@ def grid_convolution_reference(zs, xs, n_radii, values, weights, indicator, near
         if val < best[0]:
             best = (val, z, complex(np.exp(1j * t)))
     return ("member" if best[0] >= delta else "non-member"), *best
+
+
+def grid_direct_reference(zs, phase, margins):
+    """(verdict, margin, z) of the direct check decided over the polar grid
+    samples `zs`: `phase(zs)` gives the phase ratios and the mask of
+    singular samples, `margins(q)` the signed distances of phase ratios to
+    the target-region boundary.  The smallest margin over the samples that
+    are not singular is the verdict's; more than 1% singular samples give
+    the verdict "inconclusive"."""
+    q, skip = phase(zs)
+    if skip.sum() > 0.01 * len(zs):
+        return "inconclusive", math.nan, complex(math.nan, math.nan)
+    values = np.where(skip, np.inf, margins(q))
+    i = int(np.argmin(values))
+    return ("member" if values[i] > 0.0 else "non-member"), float(values[i]), complex(zs[i])

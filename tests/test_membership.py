@@ -2,9 +2,12 @@ import cmath
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bml import (
     BMLParams,
@@ -53,6 +56,7 @@ from oracles import (
     central_derivative,
     dense_scan_minimum,
     grid_convolution_reference,
+    grid_direct_reference,
     pattern_search_reference,
     preimage_roots_reference,
 )
@@ -352,6 +356,97 @@ class TestCheckDirect:
         assert not check_direct(pushed, spec, fast_grid).is_member
 
 
+def _direct_grid_reference(f, spec, grid):
+    """The direct verdict decided over the whole polar grid of `grid`."""
+    return grid_direct_reference(
+        grid.z_points(),
+        lambda zs: membership.phase_grid(f, spec, zs, grid.min_modulus)[:2],
+        lambda q: membership.region_margins(spec, q),
+    )
+
+
+def _assert_direct_witness(f, spec, grid, rep):
+    """A non-member's witness is a point of the closed disc |z| <= r_max
+    (up to the rounding of the circle samples) where the phase ratio is
+    outside the target region, by the reported margin."""
+    if rep.is_member:
+        return
+    assert rep.margin <= 0.0
+    assert abs(rep.witness_z) <= grid.r_max * (1.0 + 1e-15)
+    inside, margin = target_region_contains(spec, phase_ratio(f, spec, rep.witness_z))
+    assert not inside and margin == pytest.approx(rep.margin, rel=1e-9, abs=1e-12)
+
+
+class TestDirectOnCircle:
+    # the operator is the identity on 1/z + c_0 + c_1 z
+    _PARAMS = BMLParams(1.0, 1.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("kind", ["spirallike", "convex"])
+    def test_member_evaluates_one_circle_per_series(self, monkeypatch, kind):
+        # the phase ratio of a member needs P and z P' at the circle samples,
+        # nothing else: no interior radius, no winding recount
+        values = _counted(monkeypatch, "evaluate_grid")
+        grid = GridSpec()
+        spec = _spec(0.2, 0.6, -0.4, kind=kind, params=self._PARAMS)
+        rep = check_direct(SigmaSeries(1.0, [0.0, 0.04, 0.02j]), spec, grid)
+        assert rep.is_member
+        assert [len(v) for v in values] == [grid.angles, grid.angles]
+
+    @pytest.mark.parametrize(
+        "lam,s,tail,kind",
+        [(0.0, 2.2, [-2.0, 0.0], "spirallike"), (-0.12, 3.08 - 2.22j, [1.94, -2.55], "convex")],
+    )
+    def test_winding_only_nonmember(self, monkeypatch, lam, s, tail, kind):
+        # every circle sample of q lies inside the region, yet q has a pole
+        # inside: only the winding of P finds the non-member, and the witness
+        # comes from a ring around the pole
+        f = SigmaSeries(1.0, tail)
+        spec = ClassSpec(lam, PolynomialTheta((1.0, s)), kind, self._PARAMS)
+        grid = GridSpec()
+        q, skip, *_ = membership.phase_grid(f, spec, grid.circle_points(), grid.min_modulus)
+        assert not skip.any() and np.all(membership.region_margins(spec, q) > 0.1)
+        zeros = _counted(monkeypatch, "_image_zeros")
+        rep = check_direct(f, spec, grid)
+        assert rep.verdict == "non-member" == _direct_grid_reference(f, spec, grid)[0]
+        assert len(zeros) == 1 and len(zeros[0]) >= 1
+        _assert_direct_witness(f, spec, grid, rep)
+
+
+@st.composite
+def _sweep_classes(draw):
+    """A random Janowski or Theta = 1 + s z class, either kind, under the
+    identity operator on 1/z + c_0 + c_1 z."""
+    lam = draw(st.floats(-1.3, 1.3))
+    if draw(st.booleans()):
+        B = draw(st.floats(-1.0, 0.9))
+        theta = JanowskiTheta(min(1.0, B + (1.0 - B) * draw(st.floats(0.05, 1.0))), B)
+    else:
+        s = cmath.rect(draw(st.floats(0.5, 4.0)), draw(st.floats(-math.pi, math.pi)))
+        theta = PolynomialTheta((1.0, s))
+    kind = draw(st.sampled_from(["spirallike", "convex"]))
+    return ClassSpec(lam, theta, kind, BMLParams(1.0, 1.0, 1.0, 0.0))
+
+
+@given(spec=_sweep_classes(), c0=st.floats(-3.0, 3.0), c1=st.floats(-3.0, 3.0))
+@example(
+    spec=ClassSpec(0.0, PolynomialTheta((1.0, 2.2)), "spirallike", BMLParams(1.0, 1.0, 1.0, 0.0)),
+    c0=-2.0, c1=0.0,
+)
+@example(
+    spec=ClassSpec(-0.12, PolynomialTheta((1.0, 3.08 - 2.22j)), "convex", BMLParams(1.0, 1.0, 1.0, 0.0)),
+    c0=1.94, c1=-2.55,
+)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_direct_circle_decision_matches_grid_on_sweep(spec, c0, c1):
+    """The verdict on |z| = r_max is the polar grid's on f = 1/z + c_0 + c_1 z
+    (the two examples are non-members that circle samples alone would call
+    members), and every non-member witness is outside."""
+    f, grid = SigmaSeries(1.0, [c0, c1]), GridSpec()
+    rep = check_direct(f, spec, grid)
+    assert rep.verdict == _direct_grid_reference(f, spec, grid)[0]
+    _assert_direct_witness(f, spec, grid, rep)
+
+
 class TestEpsilon:
     def test_mobius_at_i(self):
         eps = epsilon_t1(1j, _spec(0.0, 1.0, -1.0))
@@ -607,7 +702,18 @@ class TestProvenZero:
         assert newton == "real" or len(secants) == 1
         assert rep.verdict == "non-member" and abs(rep.witness_z) < grid.radii[0]
         assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
-        assert check_direct(f, spec, grid).verdict == "non-member"
+        if newton == "real":
+            # Newton goes on from its best iterate until |F| is at rounding,
+            # |F| <= 4 eps (|B| + |W D|), though its start is far from the zero
+            b, d = membership._eval_series(
+                membership._scan_series(f, spec, which), np.array([rep.witness_z])
+            )
+            w, _ = membership._direction_weights(spec, np.array([rep.witness_x]), which)
+            scale = abs(b[0]) + abs(w[0] * d[0])
+            assert rep.margin <= 4 * np.finfo(float).eps * scale
+        direct = check_direct(f, spec, grid)
+        assert direct.verdict == "non-member"
+        _assert_direct_witness(f, spec, grid, direct)
 
     def test_zero_proven_but_not_located_is_inconclusive(self, monkeypatch, capsys, tmp_path):
         # both locators fail: Newton ends where it started, where |F| is
@@ -626,6 +732,60 @@ class TestProvenZero:
         assert main(["check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t2"]) == 2
         assert "none was located" in capsys.readouterr().err
         assert len(newtons) == len(secants) == 2
+
+
+# A half-plane class and the first 8 coefficients of a member whose c_1 was
+# scaled by 2.5625.  Its operator image G has no zero in |z| <= 0.99 (the
+# nearest is at |z| = 1.0069), but along 16 samples of |z| = 0.99 the
+# argument of G seems to wind 0 times about 0, not -1; 64 samples count -1.
+_ALIASED_SPEC = ClassSpec(
+    0.20025342490286047,
+    JanowskiTheta(0.7868155266762695, -1.0),
+    "spirallike",
+    BMLParams(1.2877557383007772, 1.3770325056966461, 2.1535220566162163, 0.31787566957540037),
+)
+_ALIASED = SigmaSeries(1.0, [
+    0.7124466451882603 + 0.9783352740321498j,
+    -0.26128426586611014 + 0.4219278722775621j,
+    -0.19403143923826102 + 0.12201409929951312j,
+    -0.16065151426630425 + 0.37693580903984086j,
+    -0.02611803487661768 + 0.8301540828892148j,
+    2.0786817342696895 + 3.878139204021779j,
+    16.812753218955947 + 6.704715410992292j,
+    144.98399518063673 + 11.735391160101956j,
+])
+
+
+class TestAliasedWinding:
+    def test_direct_recounts_an_unlocated_zero(self, monkeypatch):
+        # the count of 1 on 16 samples locates no zero in the disc, so it is
+        # taken again on 64 samples, where it is 0: a member on 16 angles, as
+        # the polar grid of 16 angles says, and a non-member on 64
+        zeros = _counted(monkeypatch, "_image_zeros")
+        for angles, verdict in ((16, "member"), (64, "non-member")):
+            grid = GridSpec(angles=angles)
+            rep = check_direct(_ALIASED, _ALIASED_SPEC, grid)
+            assert rep.verdict == verdict == _direct_grid_reference(_ALIASED, _ALIASED_SPEC, grid)[0]
+            _assert_direct_witness(_ALIASED, _ALIASED_SPEC, grid, rep)
+        assert [len(z) for z in zeros] == [0, 0]
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_convolution_recounts_an_unlocated_zero(self, which):
+        # on 16 angles the aliased count used to prove a zero that no search
+        # could locate (InconclusiveError); recounted, the torus polish finds
+        # the zero of F near |z| = 0.99 that 32 and 64 angles prove
+        for angles in (16, 32, 64):
+            grid = GridSpec(angles=angles)
+            rep = check_convolution(_ALIASED, _ALIASED_SPEC, grid, which)
+            assert rep.verdict == "non-member" and abs(rep.witness_z) <= grid.r_max * (1.0 + 1e-15)
+            val = convolution_value(_ALIASED, _ALIASED_SPEC, rep.witness_z, rep.witness_x, which)
+            assert abs(val) < grid.min_modulus
+
+    def test_unlocated_count_at_the_sample_cap_is_inconclusive(self, monkeypatch):
+        # a count that no located zero backs, on a circle already at the cap
+        monkeypatch.setattr(membership, "_RECOUNT_SAMPLES", 16)
+        with pytest.raises(InconclusiveError, match="none was located"):
+            check_direct(_ALIASED, _ALIASED_SPEC, GridSpec(angles=16))
 
 
 _JET_THETAS = [
@@ -1240,3 +1400,22 @@ def test_circle_decision_matches_grid_reference(univalent_polynomial_classes):
                     assert abs(rep.witness_z) <= grid.r_max * (1.0 + 1e-15)
                     val = convolution_value(f, spec, rep.witness_z, rep.witness_x, which)
                     assert abs(val) < grid.min_modulus
+
+
+def test_direct_circle_decision_matches_grid_reference(univalent_polynomial_classes):
+    """The direct and (convex) Alexander verdicts on |z| = r_max are the
+    polar grid's, a member margin is the grid's up to the rounding of the
+    circle samples or above it, and every non-member witness is outside."""
+    grid = GridSpec()
+    for _, _, spec, member, nonmember in univalent_polynomial_classes:
+        for f in (member, nonmember):
+            routes = [(check_direct, f, spec)]
+            if spec.kind == "convex":
+                routes.append((check_alexander, alexander(f), replace(spec, kind="spirallike")))
+            for check, g, spec_g in routes:
+                rep = check(f, spec, grid)
+                verdict, margin, _ = _direct_grid_reference(g, spec_g, grid)
+                assert rep.verdict == verdict
+                if verdict == "member":
+                    assert rep.margin >= margin * (1.0 - 1e-12)
+                _assert_direct_witness(g, spec_g, grid, rep)
