@@ -3,9 +3,9 @@
 Any member's operator image can be written as z^{-1} exp of an integral
 whose integrand is built from the boundary target composed with a
 Schwarz function.  This module evaluates that representation by
-Gauss-Legendre quadrature, reconstructs the underlying series by formal
-exponentiation plus deconvolution, and provides the Möbius-target
-closed form used as an independent oracle.
+Gauss-Legendre quadrature, reconstructs the underlying series by the
+coefficient recurrence of the exponential plus deconvolution, and
+provides the Möbius-target closed form used as an independent oracle.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import LogObstructionError, PoleError
 from .laurent import SigmaSeries
-from .membership import ClassSpec, JanowskiTheta, PolynomialTheta, theta_grid
+from .membership import ClassSpec, JanowskiTheta, theta_grid
 from .operator import OperatorKernel, invert_operator
 
 _SCHWARZ_SAMPLES = 2048
@@ -59,17 +59,19 @@ class SchwarzSpec:
         return self.coefficients[0] if self.coefficients else 0j
 
 
-def integrand(spec: ClassSpec, omega: SchwarzSpec, xi: complex) -> complex:
-    """cos(lam) [Theta(w(xi)) - 1]/xi, the origin filled with its limit.
-
-    At xi = 0 the removable singularity evaluates to
-    cos(lam) Theta'(0) w'(0).
+def integrand(spec: ClassSpec, omega: SchwarzSpec, xi):
+    """cos(lam) [Theta(w(xi)) - 1]/xi at a point or an array of points, the
+    origin filled with its limit cos(lam) Theta'(0) w'(0); `PoleError` where
+    Theta(w(xi)) is at a pole.
     """
-    xi = complex(xi)
-    if xi == 0:
-        return math.cos(spec.lam) * spec.theta.deriv0() * omega.linear_coefficient
-    th = spec.theta.value(complex(omega.value(xi)))
-    return math.cos(spec.lam) * (th - 1.0) / xi
+    xi = np.asarray(xi, dtype=complex)
+    th, bad = theta_grid(spec.theta, omega.value(xi))
+    if bad.any():
+        raise PoleError("the target has a pole on the integration path")
+    at0 = xi == 0
+    limit = theta_grid(spec.theta, 0j, 1)[1] * omega.linear_coefficient
+    out = np.where(at0, limit, (th - 1.0) / np.where(at0, 1.0, xi))
+    return (math.cos(spec.lam) * out)[()]
 
 
 @lru_cache(maxsize=8)
@@ -94,12 +96,7 @@ def bml_from_schwarz(
     if nodes < 8:
         raise ValueError(f"need at least 8 quadrature nodes, got {nodes}")
     t, w = _gauss_unit(nodes)
-    xi = t * z
-    om = omega.value(xi)
-    th, bad = theta_grid(spec.theta, om)
-    if bad.any():
-        raise PoleError("the target has a pole on the integration segment")
-    integral = z * (w @ (math.cos(spec.lam) * (th - 1.0) / xi))
+    integral = z * (w @ integrand(spec, omega, t * z))
     return cmath.exp(-cmath.exp(-1j * spec.lam) * integral) / z
 
 
@@ -126,61 +123,32 @@ def closed_form_janowski(spec: ClassSpec, z: complex) -> complex:
 # series route
 
 
-def _ps_mul(a: np.ndarray, b: np.ndarray, order: int) -> np.ndarray:
-    return np.convolve(a, b)[: order + 1]
+def _exp_coefficients(spec: ClassSpec, omega: SchwarzSpec, order: int) -> np.ndarray:
+    """Coefficients e_0..e_order of e = exp(p), p(0) = 0, z p' = c (Theta(w) - 1).
 
-
-def _compose(outer: np.ndarray, inner: np.ndarray, order: int) -> np.ndarray:
-    """Coefficients of outer(inner(z)) to z^order; inner must annihilate 0."""
-    if inner[0] != 0:
-        raise ValueError("inner series must have zero constant term")
-    # convolve at inner's true degree: its zero padding made each step O(order^2)
-    inner = inner[: np.flatnonzero(inner).max(initial=0) + 1]
-    acc = np.zeros(order + 1, dtype=complex)
-    acc[0] = outer[-1]
-    for c in outer[-2::-1]:
-        acc = _ps_mul(acc, inner, order)
-        acc[0] += c
-    return acc
-
-
-def _theta_series(theta, order: int) -> np.ndarray:
-    """Power-series coefficients of the boundary target to z^order."""
-    co = np.zeros(order + 1, dtype=complex)
-    if isinstance(theta, JanowskiTheta):
-        co[0] = 1.0
-        if order >= 1:
-            k = np.arange(1, order + 1)
-            co[1:] = (theta.A - theta.B) * (-theta.B) ** (k - 1)
-        return co
-    if isinstance(theta, PolynomialTheta):
-        src = np.asarray(theta.coefficients, dtype=complex)
-        n = min(len(src), order + 1)
-        co[:n] = src[:n]
-        return co
-    raise ValueError(f"unsupported target type {type(theta).__name__}")
-
-
-def _omega_series(omega: SchwarzSpec, order: int) -> np.ndarray:
-    co = np.zeros(order + 1, dtype=complex)
-    src = np.asarray(omega.coefficients, dtype=complex)
-    n = min(len(src), order)
-    co[1 : n + 1] = src[:n]
-    return co
-
-
-def _exp_series(p: np.ndarray) -> np.ndarray:
-    """exp of a power series via the derivative recurrence.
-
-    e_0 = exp(p_0) and m e_m = sum_{k=1}^{m} k p_k e_{m-k}.
+    z p' is rational: num/den with den(0) = 1 (c (A - B) w over 1 + B w for
+    a Möbius target, c (Theta(w) - 1) over 1 for a polynomial one, composed
+    exactly).  So e is D-finite, den z e' = num e, and its coefficients obey
+    m e_m = sum_k num_k e_{m-k} - sum_{j>=1} den_j (m - j) e_{m-j} (Stanley,
+    Eur. J. Combin. 1, 1980), at O(order deg(den, num)) cost.
     """
-    n = len(p)
-    e = np.zeros(n, dtype=complex)
-    e[0] = cmath.exp(complex(p[0]))
-    for m in range(1, n):
-        k = np.arange(1, m + 1)
-        e[m] = np.sum(k * p[1 : m + 1] * e[m - 1 :: -1][: m]) / m
-    return e
+    c = -cmath.exp(-1j * spec.lam) * math.cos(spec.lam)
+    w = np.array([0j, *omega.coefficients])
+    w = w[: np.flatnonzero(w).max(initial=0) + 1]  # at its true degree d
+    theta = spec.theta
+    if isinstance(theta, JanowskiTheta):
+        num, den = c * (theta.A - theta.B) * w, theta.B * w  # den - 1: den(0) = 1
+    else:  # Theta(w) to degree M d, at most order, by Horner's rule
+        comp = np.zeros(1, dtype=complex)
+        for t in theta.coefficients[::-1]:
+            comp = np.convolve(comp, w)[: order + 1]
+            comp[0] += t
+        num, den = c * comp, np.zeros(len(comp))
+    terms = list(zip(range(1, len(num)), num[1:].tolist(), den[1:].tolist()))
+    e = [1.0 + 0j] + [0j] * order
+    for m in range(1, order + 1):
+        e[m] = sum((a - b * (m - k)) * e[m - k] for k, a, b in terms[:m]) / m
+    return np.array(e)
 
 
 def reconstruct_f(
@@ -192,23 +160,23 @@ def reconstruct_f(
 ) -> SigmaSeries:
     """Recover the series whose operator image the Schwarz data describes.
 
-    Spirallike kind: exponentiate the integrated integrand formally, shift
-    by z^{-1}, and divide out the kernel weights.  Convex kind: take the
-    termwise antiderivative of -eta^{-2} times the same exponential in the
-    1/z-basis first; that primitive only exists when the exponential's
-    linear coefficient vanishes (within 1e-10), otherwise the logarithmic
-    term is reported via `LogObstructionError` rather than dropped.  The
-    convex result satisfies -z d/dz(image) = spirallike image exactly.
+    Spirallike kind: the exponential of the integrated integrand, from its
+    coefficient recurrence, shifted by z^{-1}, with the kernel weights
+    divided out (`ValueError` when the kernel has fewer than `order`).
+    Convex kind: take the termwise antiderivative of -eta^{-2} times the
+    same exponential in the 1/z-basis first; that primitive only exists
+    when the exponential's linear coefficient vanishes (within 1e-10),
+    otherwise the logarithmic term is reported via `LogObstructionError`
+    rather than dropped.  The convex result satisfies -z d/dz(image) =
+    spirallike image exactly.
     """
     if kind not in ("spirallike", "convex"):
         raise ValueError(f"kind must be 'spirallike' or 'convex', got {kind!r}")
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    comp = _compose(_theta_series(spec.theta, order), _omega_series(omega, order), order)
-    p = np.zeros(order + 1, dtype=complex)
-    k = np.arange(1, order + 1)
-    p[1:] = -cmath.exp(-1j * spec.lam) * math.cos(spec.lam) * comp[1:] / k
-    e = _exp_series(p)
+    if len(kernel.h) < order:
+        raise ValueError(f"the kernel has {len(kernel.h)} weights, fewer than order {order}")
+    e = _exp_coefficients(spec, omega, order)
     if kind == "spirallike":
         image = SigmaSeries(1.0, e[1:])
     else:

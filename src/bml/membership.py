@@ -69,15 +69,6 @@ class JanowskiTheta:
         if not -1.0 <= self.B < self.A <= 1.0:
             raise ValueError(f"need -1 <= B < A <= 1, got A={self.A}, B={self.B}")
 
-    def value(self, z: complex) -> complex:
-        den = 1.0 + self.B * z
-        if abs(den) < 1e-14:
-            raise PoleError(f"Möbius target has a pole at z = {z!r}")
-        return (1.0 + self.A * z) / den
-
-    def deriv0(self) -> complex:
-        return self.A - self.B
-
 
 @dataclass(frozen=True)
 class PolynomialTheta:
@@ -92,15 +83,6 @@ class PolynomialTheta:
         if not all(cmath.isfinite(c) for c in co):
             raise ValueError("polynomial target coefficients must be finite")
         object.__setattr__(self, "coefficients", co)
-
-    def value(self, z: complex):
-        acc = 0.0
-        for c in self.coefficients[::-1]:
-            acc = acc * z + c
-        return acc
-
-    def deriv0(self) -> complex:
-        return self.coefficients[1] if len(self.coefficients) > 1 else 0j
 
 
 ThetaSpec = Union[JanowskiTheta, PolynomialTheta]
@@ -210,20 +192,19 @@ class MembershipReport:
 # target geometry
 
 
-def target_value(spec: ClassSpec, z: complex) -> complex:
-    """Boundary target Phi(z) = -e^{-i lam} (cos(lam) Theta(z) + i sin(lam)).
+def target_value(spec: ClassSpec, z):
+    """Boundary target Phi(z) = -e^{-i lam} (cos(lam) Theta(z) + i sin(lam)),
+    at a point or an array of points; `PoleError` where Theta has a pole.
 
     Phi(0) = -1 for every spec, which is what anchors the subordination
     checks: the phase ratio of any class-Sigma image also tends to -1 at
     the puncture.
     """
-    th = spec.theta.value(z)
-    return -cmath.exp(-1j * spec.lam) * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))
-
-
-def _direction_value(spec: ClassSpec, x: complex) -> complex:
-    """E(x) = e^{-i lam}(cos(lam) Theta(x) + i sin(lam)) = -Phi(x)."""
-    return -target_value(spec, x)
+    th, bad = theta_grid(spec.theta, z)
+    if bad.any():
+        raise PoleError(f"the target has a pole at z = {complex(np.asarray(z)[bad][0])!r}")
+    phi = -cmath.exp(-1j * spec.lam) * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))
+    return phi[()]
 
 
 def _disc_parameters(spec: ClassSpec):
@@ -538,7 +519,7 @@ def _require_on_circle(x: complex):
 def epsilon_t1(x: complex, spec: ClassSpec) -> complex:
     """Direction coefficient (2 - E)/(1 - E) with E(x) = -Phi(x), |x| = 1."""
     _require_on_circle(x)
-    e = _direction_value(spec, x)
+    e = -target_value(spec, x)
     if abs(1.0 - e) < _DEGENERATE_TOL:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
     return (2.0 - e) / (1.0 - e)
@@ -557,7 +538,7 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
     if which == "t1":
         eps = epsilon_t1(x, spec)
         return SigmaSeries(1.0, (n + 1) - eps * n)
-    e = _direction_value(spec, x)
+    e = -target_value(spec, x)
     if abs(1.0 - e) < _DEGENERATE_TOL:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
     h = _cached_kernel(spec.params, order).h
@@ -827,8 +808,8 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
         gz, zg = _eval_series((s_pole, d_pole), rho * np.exp(1j * phi))
         return gz, zg / rho, 1j * zg, np.abs(zg), ~np.isfinite(gz)
 
-    rho, phi, size, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
-    located = size <= 4 * np.finfo(float).eps * jet(rho, phi)[3]
+    rho, phi, size, scale, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
+    located = size <= 4 * np.finfo(float).eps * scale
     if located.any():
         return (rho * np.exp(1j * phi))[located]
     if 4 * len(zs) > _RECOUNT_SAMPLES:
@@ -850,12 +831,11 @@ def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
         return f, -1j * f_phi / rho, f_t, scale, skip
 
     x = _nearest_circle_direction(spec, *_eval_series(pair, ends), which)
-    rho, t, size, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
+    rho, t, size, scale, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
     k = int(np.argmin(size))  # a start far from its zero can spend the step budget halving rho
-    scale = _torus_jet(series, spec, which, rho[k] * u[k], np.exp(1j * t[k]))[3]
-    if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale:
+    if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale[k]:
         u, rho, t = u[k : k + 1], rho[k : k + 1], t[k : k + 1]
-        rho, t, size, _ = newton_zeros(jet, rho, t, grid.r_max)
+        rho, t, size, _, _ = newton_zeros(jet, rho, t, grid.r_max)
     z, x = rho * u, np.exp(1j * t)
     if not np.any(size < grid.min_modulus):
         z = secant_zeros(

@@ -32,14 +32,15 @@ def newton_zeros(jet, rho: np.ndarray, t: np.ndarray, r_max: float):
     d_t = -F by Cramer's rule (Deuflhard, Newton Methods for Nonlinear
     Problems, 2004), keeps rho in [rho/2, r_max] and |d_t| <= _MAX_STEP.  A
     start is done once |F| <= 4 eps scale, or F is undefined or did not fall
-    (rounding).  Returns per start (rho, t, |F|) at its least |F|, and steps.
+    (rounding).  Returns per start (rho, t, |F|, scale) at its least |F|
+    (scale 0 where F was undefined throughout), and steps.
     """
-    best = [rho, t, np.full(len(rho), math.inf)]
+    best = [rho, t, np.full(len(rho), math.inf), np.zeros(len(rho))]
     for steps in range(_ZERO_STEPS + 1):
         f, f_rho, f_t, scale, undefined = jet(rho, t)
         size = np.where(undefined, math.inf, np.abs(f))
         live = size < best[2]
-        best = [np.where(live, new, old) for new, old in zip((rho, t, size), best)]
+        best = [np.where(live, new, old) for new, old in zip((rho, t, size, scale), best)]
         live &= size > 4 * _EPS * scale
         if steps == _ZERO_STEPS or not live.any():
             break

@@ -5,7 +5,8 @@ Stirling-Bernoulli series (and the C library), series values from brute
 partial summation over libm's gamma, derivatives from central
 differences, polynomial preimages from one numpy.roots call per point,
 the convolution scan minimum from one dense matrix and np.argmin,
-series composition by Horner's rule over full-length convolutions,
+member images by formal composition (Horner's rule over full-length
+convolutions) and exponentiation, in floats or exactly in integers,
 sign bisection by a fixed 80 steps over a caller-supplied indicator,
 the convolution minimum by a 27-point pattern search over a
 caller-supplied modulus, the convolution verdict by all three over the
@@ -13,7 +14,9 @@ whole polar grid, and the direct verdict by the smallest region margin
 over the whole polar grid.
 """
 
+import cmath
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -115,15 +118,69 @@ def dense_scan_minimum(base, dirv, ws, skip):
     return float(vals.ravel()[fi]), i, j
 
 
-def compose_reference(outer, inner, order):
-    """Coefficients of outer(inner(z)) to z^order: Horner's rule, each step
-    a full-length np.convolve with the zero-padded inner series."""
+def reconstruct_reference(lam, theta, omega_coefficients, order):
+    """Image coefficients e_0..e_order of the spirallike member that the
+    Schwarz coefficients describe, by formal composition and exponentiation:
+    the Taylor series of Theta composed with w by Horner's rule over
+    full-length np.convolve steps, p_k = c [Theta(w)]_k / k with
+    c = -e^{-i lam} cos(lam), and m e_m = sum_{k<=m} k p_k e_{m-k}."""
+    outer = np.zeros(order + 1, dtype=complex)
+    if hasattr(theta, "A"):
+        outer[0] = 1.0
+        outer[1:] = (theta.A - theta.B) * (-theta.B) ** np.arange(order)
+    else:
+        src = np.asarray(theta.coefficients, dtype=complex)[: order + 1]
+        outer[: len(src)] = src
+    inner = np.zeros(order + 1, dtype=complex)
+    src = np.asarray(omega_coefficients, dtype=complex)[:order]
+    inner[1 : len(src) + 1] = src
     acc = np.zeros(order + 1, dtype=complex)
     acc[0] = outer[-1]
-    for c in outer[-2::-1]:
+    for t in outer[-2::-1]:
         acc = np.convolve(acc, inner)[: order + 1]
-        acc[0] += c
-    return acc
+        acc[0] += t
+    k = np.arange(1, order + 1)
+    p = -cmath.exp(-1j * lam) * math.cos(lam) * acc[1:] / k
+    e = np.zeros(order + 1, dtype=complex)
+    e[0] = 1.0
+    for m in range(1, order + 1):
+        e[m] = np.sum(k[:m] * p[:m] * e[m - 1 :: -1]) / m
+    return e
+
+
+def exact_image_coefficients(theta, omega_coefficients, order):
+    """e_0..e_order of the same series for lam = 0 and real data, exactly,
+    as (numerator, denominator) integer pairs.
+
+    Every input float is a dyadic rational, and so is each q_k = -[Theta(w)]_k
+    (= k p_k): Theta(w) - 1 comes from exact power-series division,
+    (A - B) w / (1 + B w), or from Horner's rule.  With R = 2^r such that
+    every Q_k = q_k R^k is an integer, E_m = m! R^m e_m obeys the integer
+    recurrence E_m = sum_{k<=m} Q_k (m-1)!/(m-k)! E_{m-k}, so no rational
+    ever needs reducing."""
+    w = [Fraction(0)] + [Fraction(c.real) for c in omega_coefficients]
+    d = len(w) - 1
+
+    def times_w(s, m):  # [w s]_m
+        return sum(w[j] * s[m - j] for j in range(1, min(m, d) + 1))
+
+    q = [Fraction(0)] * (order + 1)
+    if hasattr(theta, "A"):
+        a, b = Fraction(theta.A), Fraction(theta.B)
+        for m in range(1, order + 1):  # (1 + B w) q = -(A - B) w
+            q[m] = -(a - b) * (w[m] if m <= d else 0) - b * times_w(q, m)
+    else:
+        comp = [Fraction(0)] * (order + 1)
+        for t in theta.coefficients[::-1]:
+            comp = [Fraction(t.real)] + [times_w(comp, m) for m in range(1, order + 1)]
+        q[1:] = [-c for c in comp[1:]]
+    assert all(v.denominator & (v.denominator - 1) == 0 for v in q)  # dyadic
+    r = max(math.ceil((v.denominator.bit_length() - 1) / k) for k, v in enumerate(q) if k)
+    big = [v.numerator * (1 << (r * k - v.denominator.bit_length() + 1)) for k, v in enumerate(q)]
+    e = [1]
+    for m in range(1, order + 1):
+        e.append(sum(big[k] * math.perm(m - 1, k - 1) * e[m - k] for k in range(1, m + 1)))
+    return [(num, math.factorial(m) << (r * m)) for m, num in enumerate(e)]
 
 
 def bisect_reference(indicator, za, zb, sa, steps=80):

@@ -1,6 +1,9 @@
 """Package layout rules that hold for every module under src/bml."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "bml"
@@ -42,3 +45,20 @@ def test_every_private_top_level_name_is_used():
             used |= {n.id for n in ast.walk(statement) if isinstance(n, ast.Name)} - set(names)
         unused += [f"{module}: {name}" for name in defined if name not in used]
     assert unused == []
+
+
+def test_cli_imports_only_the_standard_library_numpy_and_bml():
+    """`import bml.cli` in a fresh interpreter loads no third-party module
+    besides numpy, and not numpy.polynomial: the start-up time and the
+    resident memory of every `bml` process depend on it."""
+    script = (
+        "import sys; before = set(sys.modules); import bml.cli; "
+        "print('\\n'.join(sorted(set(sys.modules) - before)))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    loaded = out.stdout.split()
+    assert "bml.cli" in loaded
+    assert "numpy.polynomial" not in loaded
+    outside = {name.split(".")[0] for name in loaded} - set(sys.stdlib_module_names) - {"numpy", "bml"}
+    assert outside == set()

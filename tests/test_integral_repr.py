@@ -9,7 +9,9 @@ from bml import (
     ClassSpec,
     JanowskiTheta,
     LogObstructionError,
+    OperatorKernel,
     PoleError,
+    PolynomialTheta,
     SchwarzSpec,
     alexander,
     apply_operator,
@@ -21,8 +23,7 @@ from bml import (
     integrand,
     reconstruct_f,
 )
-from bml.integral_repr import _compose, _exp_series, _omega_series, _theta_series
-from oracles import compose_reference
+from oracles import exact_image_coefficients, reconstruct_reference
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, params=None):
@@ -72,6 +73,23 @@ class TestIntegrand:
         om = SchwarzSpec((0.0, 1.0))
         for xi in (0.4, -0.3 + 0.2j):
             assert integrand(spec, om, xi) == pytest.approx(0.7 * xi, abs=1e-14)
+
+    @pytest.mark.parametrize("theta", [JanowskiTheta(0.8, -0.6), PolynomialTheta((1.0, 0.4, 0.1))])
+    def test_arrays_match_points(self, theta):
+        spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1, 1, 1, 0))
+        om = SchwarzSpec((0.5, 0.2))
+        xs = np.array([[0.0, 0.4], [-0.3 + 0.2j, 1e-9]])
+        values = integrand(spec, om, xs)
+        assert values.shape == (2, 2)
+        points = np.array([[integrand(spec, om, x) for x in row] for row in xs])
+        assert np.abs(values - points).max() <= 1e-15
+        # the origin's value is the limit cos(lam) Theta'(0) w'(0)
+        assert values[0, 0] == pytest.approx(values[1, 1], abs=1e-6)
+
+    def test_pole_on_the_path(self):
+        # Theta = (1 + z)/(1 - z) and w(xi) = xi: a pole at xi = 1
+        with pytest.raises(PoleError):
+            integrand(_spec(0.0, 1.0, -1.0), SchwarzSpec((1.0,)), np.array([0.5, 1.0]))
 
 
 class TestQuadrature:
@@ -131,54 +149,71 @@ class TestQuadrature:
         )
 
 
-class TestExpSeries:
-    def test_matches_pointwise_exponential(self, rng):
-        # coefficients drawn from the actual pipeline stay summable
-        p = np.zeros(97, dtype=complex)
-        p[1:] = 0.5 ** np.arange(1, 97) * (1.0 + 0.3j)
-        e = _exp_series(p)
-        for _ in range(10):
-            z = complex(rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform()))
-            horner_p = 0j
-            for c in p[::-1]:
-                horner_p = horner_p * z + c
-            horner_e = 0j
-            for c in e[::-1]:
-                horner_e = horner_e * z + c
-            assert abs(horner_e - cmath.exp(horner_p)) < 1e-11
-
-    def test_constant_term(self):
-        e = _exp_series(np.array([0.3 + 0.1j, 0.0], dtype=complex))
-        assert e[0] == pytest.approx(cmath.exp(0.3 + 0.1j), abs=1e-15)
+def _unit_weights(spec, order):
+    """A kernel of unit weights: the member's tail is its image's tail."""
+    return OperatorKernel(spec.params, np.ones(order))
 
 
-class TestCompose:
+_EXACT_CASES = {
+    "disc": (JanowskiTheta(0.3, -0.95), (0.3, -0.25)),
+    "half-plane": (JanowskiTheta(1.0, -1.0), (0.5, 0.3)),
+    "polynomial": (PolynomialTheta((1.0, 0.4, 0.1)), (0.6, -0.2)),
+}
+
+
+class TestExpRecurrence:
+    @pytest.mark.parametrize("case", sorted(_EXACT_CASES))
+    def test_matches_exact_rationals(self, case):
+        # componentwise: formal composition and exponentiation in floats
+        # lost every digit of the small coefficients of the disc case
+        theta, om = _EXACT_CASES[case]
+        order = 128
+        spec = ClassSpec(0.0, theta, "spirallike", BMLParams(1, 1, 1, 0))
+        f = reconstruct_f(spec, SchwarzSpec(om), _unit_weights(spec, order), order, "spirallike")
+        exact = np.array([num / den for num, den in exact_image_coefficients(theta, om, order)])
+        nonzero = exact[1:] != 0
+        assert nonzero.sum() >= order - 1
+        rel = np.abs(f.tail - exact[1:])[nonzero] / np.abs(exact[1:])[nonzero]
+        assert rel.max() <= 1e-12
+
     @pytest.mark.parametrize("seed", [0, 3, 7])
-    def test_matches_full_length_convolution(self, seed):
+    def test_matches_compose_then_exp_reference(self, seed):
         rng = np.random.default_rng(seed)
         order = 256
-        b = rng.uniform(-0.9, 0.5)
-        theta = JanowskiTheta(rng.uniform(b + 0.1, 1.0), b)
-        omega = _scaled_schwarz(rng, 3, 0.9)
-        outer, inner = _theta_series(theta, order), _omega_series(omega, order)
-        ref = compose_reference(outer, inner, order)
-        assert np.abs(ref).max() <= 1.0
-        assert np.abs(_compose(outer, inner, order) - ref).max() <= 1e-15
+        for target in ("disc", "polynomial"):
+            lam = float(rng.uniform(-1.2, 1.2))
+            if target == "disc":
+                b = float(rng.uniform(-1.0, 0.5))
+                theta = JanowskiTheta(float(rng.uniform(b + 0.1, 1.0)), b)
+            else:
+                theta = PolynomialTheta((1.0, *(rng.normal(size=3) * [0.4, 0.1, 0.03])))
+            om = _scaled_schwarz(rng, 3, 0.9)
+            spec = ClassSpec(lam, theta, "spirallike", BMLParams(1, 1, 1, 0))
+            f = reconstruct_f(spec, om, _unit_weights(spec, order), order, "spirallike")
+            ref = reconstruct_reference(lam, theta, om.coefficients, order)
+            assert abs(ref.imag).max() > 0.0  # complex data
+            assert np.abs(f.tail - ref[1:]).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_zero_inner_gives_constant(self):
-        outer = np.array([0.5, 2.0, 3.0], dtype=complex)
-        out = _compose(outer, np.zeros(9, dtype=complex), 8)
-        assert out[0] == 0.5 and not out[1:].any()
+    @pytest.mark.parametrize("theta", [JanowskiTheta(0.8, -0.6), PolynomialTheta((1.0, 0.4, 0.1))])
+    def test_image_matches_pointwise_exponential(self, rng, theta):
+        # z times the image is exp(-e^{-i lam} integral), from quadrature
+        spec = ClassSpec(0.5, theta, "spirallike", BMLParams(1, 1, 1, 0))
+        om = _scaled_schwarz(rng, 3, 0.8)
+        f = reconstruct_f(spec, om, _unit_weights(spec, 160), 160, "spirallike")
+        for _ in range(10):
+            z = complex(rng.uniform(0.1, 0.9) * np.exp(2j * np.pi * rng.uniform()))
+            assert abs(z * evaluate(f, z) - z * bml_from_schwarz(spec, om, z)) < 1e-11
 
 
 class TestReconstruct:
     def test_zero_schwarz_both_kinds(self, unit_params):
         kern = build_kernel(unit_params, 8)
-        spec = _spec()
-        for kind in ("spirallike", "convex"):
-            f = reconstruct_f(spec, SchwarzSpec(()), kern, 8, kind)
-            assert f.principal == 1.0
-            assert np.allclose(f.tail, 0.0, atol=1e-15)
+        poly = ClassSpec(0.7, PolynomialTheta((1.0, 0.5, 2.0)), "spirallike", unit_params)
+        for spec in (_spec(), poly):
+            for kind in ("spirallike", "convex"):
+                f = reconstruct_f(spec, SchwarzSpec(()), kern, 8, kind)
+                assert f.principal == 1.0
+                assert np.allclose(f.tail, 0.0, atol=1e-15)
 
     def test_identity_schwarz_square_case(self, unit_params):
         kern = build_kernel(unit_params, 12)
@@ -234,3 +269,10 @@ class TestReconstruct:
             reconstruct_f(_spec(), SchwarzSpec(()), kern, 4, "starlike")
         with pytest.raises(ValueError):
             reconstruct_f(_spec(), SchwarzSpec(()), kern, 0, "convex")
+
+    def test_short_kernel_refused(self, unit_params):
+        # a kernel of 16 weights cannot carry an order-40 member
+        kern = build_kernel(unit_params, 16)
+        with pytest.raises(ValueError, match="16 weights, fewer than order 40"):
+            reconstruct_f(_spec(), SchwarzSpec((0.5,)), kern, 40, "spirallike")
+        assert reconstruct_f(_spec(), SchwarzSpec((0.5,)), kern, 16, "spirallike").order == 16

@@ -115,6 +115,17 @@ class TestTargetValue:
         with pytest.raises(PoleError):
             target_value(_spec(0.0, 1.0, -1.0), 1.0)
 
+    def test_arrays_match_points(self, rng):
+        zs = 0.9 * np.exp(2j * np.pi * rng.uniform(size=7))
+        poly = ClassSpec(0.4, PolynomialTheta((1.0, 0.3, 0.2j)), "convex", BMLParams(1, 1, 1, 0))
+        for spec in (_spec(0.6, 0.8, -0.5), poly):
+            values = target_value(spec, zs.reshape(7, 1))
+            assert values.shape == (7, 1)
+            points = np.array([target_value(spec, z) for z in zs])
+            assert np.abs(values[:, 0] - points).max() <= 1e-15 * np.abs(points).max()
+        with pytest.raises(PoleError, match=r"z = \(1\+0j\)"):
+            target_value(_spec(0.0, 1.0, -1.0), np.array([0.5, 1.0, -1.0]))
+
 
 class TestTargetRegion:
     def test_minus_one_always_inside(self, rng):
@@ -650,9 +661,9 @@ def _counted(monkeypatch, name, fake=None):
 
 def _newton_stays(jet, rho, t, r_max):
     """A Newton zero search that takes no step: it returns its starts, and
-    |F| there."""
-    f, *_, undefined = jet(rho, t)
-    return rho, t, np.where(undefined, np.inf, np.abs(f)), 0
+    |F| and the term scale there."""
+    f, _, _, scale, undefined = jet(rho, t)
+    return rho, t, np.where(undefined, np.inf, np.abs(f)), np.where(undefined, 0.0, scale), 0
 
 
 class TestProvenZero:
