@@ -250,7 +250,7 @@ def _params_of(args) -> BMLParams:
 def _grid_of(args) -> GridSpec:
     if args.radii < 1:
         raise CLIError(f"--radii must be at least 1, got {args.radii}")
-    radii = tuple(args.rmax * k / args.radii for k in range(1, args.radii + 1))
+    radii = tuple(args.rmax * (k / args.radii) for k in range(1, args.radii + 1))
     return GridSpec(
         radii=radii,
         r_max=args.rmax,
@@ -316,9 +316,10 @@ def _cmd_reconstruct(args) -> int:
     omega = SchwarzSpec(tuple(_parse_float_list(args.omega)))
     spec = _class_of(args, _KINDS[args.kind])
     params = _params_of(args)
-    order = min(args.N, max_kernel_order(params))
-    kernel = build_kernel(params, order)
-    f = reconstruct_f(spec, omega, kernel, order, _KINDS[args.kind])
+    if args.N > (top := max_kernel_order(params)):
+        raise CLIError(f"--N {args.N} exceeds {top}, the largest order in the Gamma range at {params}")
+    kernel = build_kernel(params, args.N)
+    f = reconstruct_f(spec, omega, kernel, args.N, _KINDS[args.kind])
     _emit(_series_lines(f), args.out)
     return 0
 

@@ -3,12 +3,14 @@
 Everything lives in the basis {1/z, 1, z, z^2, ...}: a series is stored
 as the coefficient of 1/z (``principal``) plus tail coefficients
 c_1..c_N, where c_n multiplies z^(n-1).  Values are immutable; all
-operations return new series.
+operations return new series.  `evaluate_grid` sums a series over the
+samples of a `circle` by one FFT, and anywhere else by Horner's rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -91,9 +93,31 @@ def evaluate(f: SigmaSeries, z: complex) -> complex:
     return total
 
 
+@lru_cache(maxsize=16)
+def _roots(samples: int) -> np.ndarray:
+    roots = np.exp(2j * np.pi * np.arange(samples) / samples)
+    roots.flags.writeable = False
+    return roots
+
+
+def circle(radius: float, samples: int) -> np.ndarray:
+    """The points radius e^{2 pi i k / samples}, k = 0..samples-1."""
+    return radius * _roots(samples)
+
+
 def evaluate_grid(f: SigmaSeries, zs: np.ndarray) -> np.ndarray:
-    """Vectorized Horner evaluation of f over an array of nonzero points."""
+    """Values of f over an array of nonzero points: on `circle(r, n)`, bit for
+    bit, with 0 < r <= 1, one DFT f(r w^k) = sum_j b_j w^(jk), w = e^{2 pi i/n},
+    whose bin b_j sums c_(m+1) r^m over m = j mod n plus principal/r at
+    j = n - 1; anywhere else, Horner's rule."""
     zs = np.asarray(zs, dtype=complex)
+    n = len(zs) if zs.ndim == 1 else 0
+    if n and 0.0 < (r := zs[0].real) <= 1.0 and np.array_equal(zs, r * _roots(n)):
+        bins = np.zeros(n * (f.order // n + 1), dtype=complex)
+        bins[: f.order] = f.tail * r ** np.arange(f.order)
+        bins = bins.reshape(-1, n).sum(axis=0)
+        bins[-1] += f.principal / r
+        return np.fft.ifft(bins, norm="forward")  # n times numpy's ifft
     acc = np.zeros_like(zs)
     for c in f.tail[::-1]:
         acc = acc * zs + c

@@ -43,7 +43,7 @@ from .errors import (
     PoleError,
     SingularPointError,
 )
-from .laurent import SigmaSeries, alexander, binomial_series, evaluate_grid, z_fprime
+from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
 from .solvers import newton_minimum, newton_zeros, secant_zeros
 from .special_fn import BMLParams
@@ -51,7 +51,7 @@ from .special_fn import BMLParams
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
 _RECOUNT_SAMPLES = 1 << 14  # most samples of a winding recount
-_RING, _RING_SHRINKS = np.exp(2j * np.pi * np.arange(16) / 16), 16  # see `_pole_witness`
+_RING_SHRINKS = 16  # see `_pole_witness`
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class GridSpec:
             raise ValueError(f"r_max must lie in (0, 1), got {self.r_max}")
         radii = tuple(float(r) for r in self.radii)
         if not radii:
-            radii = tuple(self.r_max * k / 12 for k in range(1, 13))
+            radii = tuple(self.r_max * (k / 12) for k in range(1, 13))
         if not all(0.0 < r <= self.r_max for r in radii):
             raise ValueError("all radii must lie in (0, r_max]")
         if self.angles < 8 or self.boundary_x < 8:
@@ -159,13 +159,12 @@ class GridSpec:
         object.__setattr__(self, "radii", radii)
 
     def circle_points(self) -> np.ndarray:
-        """Samples of the circle |z| = r_max, at the angles of `z_points`."""
-        return self.r_max * np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
+        """Samples of the circle |z| = r_max: the r_max row of `z_points`, bit for bit."""
+        return circle(self.r_max, self.angles)
 
     def z_points(self) -> np.ndarray:
         """Samples of the polar grid, radius-major then angle, deterministic order."""
-        ang = np.exp(2j * np.pi * np.arange(self.angles) / self.angles)
-        return (np.asarray(self.radii)[:, None] * ang[None, :]).ravel()
+        return np.concatenate([circle(r, self.angles) for r in self.radii])
 
     def x_points(self) -> np.ndarray:
         """Unit-circle samples, offset half a step so x = 1 is never hit exactly."""
@@ -493,7 +492,7 @@ def _pole_witness(f: SigmaSeries, spec: ClassSpec, z0: complex, grid: GridSpec):
     the pole z0 of q within |z| <= r_max, of radius |z0|/2 shrunk by 4 until
     one is outside (on a ray to z0, q can tend to infinity in a half-plane)."""
     for h in 0.5 * abs(z0) * 0.25 ** np.arange(_RING_SHRINKS):
-        zs = z0 + h * _RING
+        zs = z0 + circle(h, 16)
         zs = np.where(np.abs(zs) > grid.r_max, zs * (grid.r_max / np.abs(zs)), zs)
         q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
         margins = np.where(skip, np.inf, region_margins(spec, q))
@@ -582,35 +581,45 @@ def _scan_series(f: SigmaSeries, spec: ClassSpec, which: str):
     return z_fprime(g), g
 
 
-def _eval_series(series, zs: np.ndarray) -> np.ndarray:
-    """Values of several series at a batch of nonzero points, one row per
-    series, from one table of powers of the points."""
+def _jet_table(series, derivatives: int):
+    """Coefficients of D^j s (D = z d/dz) for j = 0..derivatives and each s
+    of `series` (all of one order), j-major: an (N x k) table whose columns
+    are the tails times (n - 1)^j, and the k principals times (-1)^j."""
+    j = np.arange(derivatives + 1)
+    tails = np.stack([s.tail for s in series], axis=1)
+    table = np.arange(len(tails))[:, None, None] ** j[:, None] * tails[:, None, :]
+    principals = np.outer((-1.0) ** j, [s.principal for s in series])
+    return table.reshape(len(tails), principals.size), principals.ravel()
+
+
+def _eval_series(table, zs: np.ndarray, columns=None) -> np.ndarray:
+    """Values of the first `columns` columns (all by default) of a
+    `_jet_table` at a batch of nonzero points, one row per column."""
+    tails, principals = table
     zs = np.asarray(zs, dtype=complex)
-    powers = np.vander(zs, max(s.order for s in series), increasing=True)
-    inv = 1.0 / zs
-    return np.array([powers[:, : s.order] @ s.tail + s.principal * inv for s in series])
+    powers = np.vander(zs, len(tails), increasing=True)
+    return (powers @ tails[:, :columns] + principals[:columns] / zs[:, None]).T
 
 
-def _torus_jet(series, spec: ClassSpec, which: str, z, x):
+def _torus_jet(table, spec: ClassSpec, which: str, z, x):
     """F = B + W D at z = rho e^{i phi} and x = e^{i t} (one point, or arrays
-    of one shape; one point runs in numpy scalars, cheaper than arrays and
-    rounded without the fused multiply-adds of array loops), with `series`
-    B, DB, D^2 B, D, DD, D^2 D (D = z d/dz).  Returns (F, [F_phi, F_t],
-    [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|, skip of degenerate
-    x): F_phi = i (DB + W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D),
+    of one shape), from `table`, the `_jet_table` of (B, D) to j = 2 (D = z
+    d/dz), whose one product serves a point and a batch alike.  Returns (F,
+    [F_phi, F_t], [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|, skip of
+    degenerate x): F_phi = i (DB + W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D),
     F_tt = -W_2 D, F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho.
     """
-    vals = _eval_series(series, np.reshape(z, -1))
+    vals = _eval_series(table, np.reshape(z, -1))
     *ws, skip = _direction_weights(spec, np.reshape(x, -1), which, True)
     if np.ndim(z) == 0:
         vals, ws, skip = vals[:, 0], [v[0] for v in ws], skip[0]
-    (b, b1, b2, d, d1, d2), (w, w1, w2) = vals, ws
+    (b, d, b1, d1, b2, d2), (w, w1, w2) = vals, ws
     grad = np.array([1j * (b1 + w * d1), 1j * w1 * d])
     hess = np.array([[-b2 - w * d2, -w1 * d1], [-w1 * d1, -w2 * d]])
     return b + w * d, grad, hess, abs(b) + abs(w * d), skip
 
 
-def _polish_minimum(series, spec, which, z0, x0, radius):
+def _polish_minimum(table, spec, which, z0, x0, radius):
     """Newton's polish of the smallest |F| on the torus |z| = radius, |x| = 1.
 
     Runs when no zero was found: F then has no zero in 0 < |z| <= radius
@@ -621,7 +630,7 @@ def _polish_minimum(series, spec, which, z0, x0, radius):
     """
 
     def jet(a):
-        return _torus_jet(series, spec, which, radius * cmath.exp(1j * a[0]), cmath.exp(1j * a[1]))
+        return _torus_jet(table, spec, which, radius * cmath.exp(1j * a[0]), cmath.exp(1j * a[1]))
 
     angles, val, steps = newton_minimum(jet, np.array([cmath.phase(z0), cmath.phase(x0)]))
     return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
@@ -796,16 +805,16 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
     count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
     if count == 0:
         return np.empty(0, dtype=complex)
-    d_pole = z_fprime(s_pole)
-    ratio = evaluate_grid(d_pole, zs) / g
+    ratio = evaluate_grid(z_fprime(s_pole), zs) / g
     sums = [np.mean(zs**p * ratio) for p in range(1, count + 1)]
     elem = [1.0]
     for k in range(1, count + 1):
         elem.append(sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
     z = np.roots([(-1) ** k * e for k, e in enumerate(elem)]).astype(complex)
+    table = _jet_table((s_pole,), 1)
 
     def jet(rho, phi):  # G in polar coordinates; |G| <= 4 eps |z G'| is |Newton step| <= 4 eps |z|
-        gz, zg = _eval_series((s_pole, d_pole), rho * np.exp(1j * phi))
+        gz, zg = _eval_series(table, rho * np.exp(1j * phi))
         return gz, zg / rho, 1j * zg, np.abs(zg), ~np.isfinite(gz)
 
     rho, phi, size, scale, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
@@ -814,23 +823,22 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
         return (rho * np.exp(1j * phi))[located]
     if 4 * len(zs) > _RECOUNT_SAMPLES:
         raise InconclusiveError(f"a zero of G in |z| <= {r_max} is proven, but none was located")
-    zs = r_max * np.exp(2j * np.pi * np.arange(4 * len(zs)) / (4 * len(zs)))
+    zs = circle(r_max, 4 * len(zs))
     return _image_zeros(s_pole, zs, evaluate_grid(s_pole, zs), r_max)
 
 
-def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
+def _zero_witness(table, spec: ClassSpec, which: str, ends, grid: GridSpec):
     """(|F|, z, x) at the best zero of F on the rays to the points `ends`, by
     `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the nearest circle
     direction), else by the secant on the inside indicator over [0, z_k];
     `InconclusiveError` when neither gets |F| below grid.min_modulus."""
-    pair = (series[0], series[3])
     u = ends / np.abs(ends)
 
     def jet(rho, t):
-        f, (f_phi, f_t), _, scale, skip = _torus_jet(series, spec, which, rho * u, np.exp(1j * t))
+        f, (f_phi, f_t), _, scale, skip = _torus_jet(table, spec, which, rho * u, np.exp(1j * t))
         return f, -1j * f_phi / rho, f_t, scale, skip
 
-    x = _nearest_circle_direction(spec, *_eval_series(pair, ends), which)
+    x = _nearest_circle_direction(spec, *_eval_series(table, ends, 2), which)
     rho, t, size, scale, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
     k = int(np.argmin(size))  # a start far from its zero can spend the step budget halving rho
     if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale[k]:
@@ -839,13 +847,13 @@ def _zero_witness(series, spec: ClassSpec, which: str, ends, grid: GridSpec):
     z, x = rho * u, np.exp(1j * t)
     if not np.any(size < grid.min_modulus):
         z = secant_zeros(
-            lambda z: _inside_indicator(spec, *_eval_series(pair, z), which),
+            lambda z: _inside_indicator(spec, *_eval_series(table, z, 2), which),
             np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
         )
         z = z[np.isfinite(z) & (z != 0)]
-        x = _nearest_circle_direction(spec, *_eval_series(pair, z), which)
+        x = _nearest_circle_direction(spec, *_eval_series(table, z, 2), which)
     w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
-    bz, dz = _eval_series(pair, z)
+    bz, dz = _eval_series(table, z, 2)
     vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(bz + w * dz))
     if not np.any(vals < grid.min_modulus):
         raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
@@ -888,16 +896,15 @@ def check_convolution(
     if len(ends) == 0:
         s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
         ends = _image_zeros(s_pole, zs, g, grid.r_max)
-    d1 = [z_fprime(s) for s in (s_base, s_dir)]
-    series = (s_base, d1[0], z_fprime(d1[0]), s_dir, d1[1], z_fprime(d1[1]))
+    table = _jet_table((s_base, s_dir), 2)
     if len(ends) > 0:
-        best_val, best_z, best_x = _zero_witness(series, spec, which, ends, grid)
+        best_val, best_z, best_x = _zero_witness(table, spec, which, ends, grid)
     else:
         best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
         best_z, best_x = complex(zs[i0]), complex(xs[j0])
         if best_val >= grid.min_modulus:
             val, z_ref, x_ref, _ = _polish_minimum(
-                series, spec, which, best_z, best_x, grid.r_max
+                table, spec, which, best_z, best_x, grid.r_max
             )
             if val < best_val:
                 best_val, best_z, best_x = val, z_ref, x_ref
@@ -922,7 +929,7 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
     if skip[0]:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-    bv, dv = _eval_series((s_base, s_dir), np.array([complex(z)]))
+    bv, dv = _eval_series(_jet_table((s_base, s_dir), 0), np.array([complex(z)]))
     return complex((bv + ws * dv)[0])
 
 

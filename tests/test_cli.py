@@ -239,6 +239,20 @@ class TestExtremalAndReconstruct:
         assert code == 2
         assert "antiderivative" in err
 
+    def test_reconstruct_past_the_gamma_range_exits_2(self, capsys):
+        # K = theta = 1 keeps 170 weights inside the Gamma range; asking
+        # for 400 must not print a shorter series and exit 0
+        code, out, err = run(
+            capsys, "reconstruct", "--omega", "0.5", "--A", "0.5", "--B", "-0.5", "--N", "400",
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "--N 400" in err and " 170," in err and "K=1.0, theta=1.0, a=1.0, s=0.0" in err
+        code, out, _ = run(
+            capsys, "reconstruct", "--omega", "0.5", "--A", "0.5", "--B", "-0.5", "--N", "170",
+        )
+        assert code == 0 and parse_function_spec(out).order == 170
+
     def test_schwarz_bound_rejected(self, capsys):
         code, _, err = run(capsys, "reconstruct", "--omega", "1.5", "--N", "8")
         assert code == 2

@@ -8,6 +8,7 @@ from bml import (
     SigmaSeries,
     alexander,
     binomial_series,
+    circle,
     evaluate,
     evaluate_grid,
     hadamard,
@@ -63,6 +64,74 @@ class TestEvaluate:
         grid_vals = evaluate_grid(f, zs)
         for z, v in zip(zs, grid_vals):
             assert abs(v - evaluate(f, complex(z))) < 1e-13
+
+
+def _horner(f: SigmaSeries, zs: np.ndarray) -> np.ndarray:
+    acc = np.zeros_like(zs)
+    for c in f.tail[::-1]:
+        acc = acc * zs + c
+    return acc + f.principal / zs
+
+
+def _ifft_calls(monkeypatch):
+    calls, ifft = [], np.fft.ifft
+    monkeypatch.setattr(np.fft, "ifft", lambda *a, **k: calls.append(1) or ifft(*a, **k))
+    return calls
+
+
+class TestEvaluateGridOnCircles:
+    """`evaluate_grid` takes one FFT on `circle(r, n)`, 0 < r <= 1, bit for
+    bit; every other array goes through Horner's rule unchanged."""
+
+    @staticmethod
+    def _decaying(rng, order, principal=1.0 - 0.5j):
+        c = rng.normal(size=order) + 1j * rng.normal(size=order)
+        return SigmaSeries(principal, c / (1.0 + np.arange(order)) ** 1.5)
+
+    @pytest.mark.parametrize(
+        "order,samples,r",
+        [(10, 16, 0.9), (16, 16, 0.99), (256, 256, 0.99), (1024, 16, 0.99), (1024, 256, 0.99),
+         (1024, 256, 1.0), (1024, 256, 1e-3), (40, 64, 0.5)],
+    )
+    def test_matches_kahan_evaluate(self, rng, monkeypatch, order, samples, r):
+        # N < n, N = n and N >> n fold differently; at r = 1e-3, r^m underflows
+        f = self._decaying(rng, order)
+        calls = _ifft_calls(monkeypatch)
+        zs = circle(r, samples)
+        got = evaluate_grid(f, zs)
+        assert len(calls) == 1
+        scale = np.abs(f.tail) @ r ** np.arange(order) + abs(f.principal) / r
+        assert np.abs(got - [evaluate(f, z) for z in zs]).max() <= 1e-13 * scale
+
+    def test_principal_only(self, monkeypatch):
+        f = SigmaSeries(2.0 - 1.0j, [])
+        calls = _ifft_calls(monkeypatch)
+        zs = circle(0.7, 16)
+        got = evaluate_grid(f, zs)
+        assert len(calls) == 1
+        assert np.abs(got - (2.0 - 1.0j) / zs).max() <= 1e-13 * abs(f.principal) / 0.7
+
+    def test_circle_is_radius_times_the_roots_of_unity(self):
+        zs = circle(0.99, 256)
+        assert np.array_equal(zs, 0.99 * np.exp(2j * np.pi * np.arange(256) / 256))
+        zs[0] = 0.0  # a fresh array each call: the shared table stays intact
+        assert circle(0.99, 256)[0] == 0.99
+
+    def test_other_points_keep_horner_bit_for_bit(self, rng, monkeypatch):
+        f = self._decaying(rng, 64)
+        moved = circle(0.9, 64)
+        moved[5] = complex(np.nextafter(moved[5].real, 2.0), moved[5].imag)
+        inputs = [
+            circle(0.9, 64) * np.exp(1j * np.pi / 64),  # rotated half a step
+            moved,  # one point one ulp off the circle
+            0.3 + circle(0.1, 64),  # a ring about z0 != 0; its first point is real in (0, 1]
+            circle(1.5, 64),  # r > 1
+            circle(0.9, 64).reshape(4, 16),  # a 2-D array of the circle's points
+        ]
+        calls = _ifft_calls(monkeypatch)
+        for zs in inputs:
+            assert np.array_equal(evaluate_grid(f, zs), _horner(f, zs))
+        assert calls == []
 
 
 class TestHadamard:

@@ -388,6 +388,16 @@ def _assert_direct_witness(f, spec, grid, rep):
     assert not inside and margin == pytest.approx(rep.margin, rel=1e-9, abs=1e-12)
 
 
+class TestGridPoints:
+    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(r_max=0.7, angles=64)])
+    def test_outer_row_of_z_points_is_circle_points(self, grid):
+        # the direct checks decide on circle_points(); boundary-curve prints
+        # z_points(), whose r_max row samples the same points, bit for bit
+        assert grid.radii[-1] == grid.r_max
+        rows = grid.z_points().reshape(len(grid.radii), grid.angles)
+        assert np.array_equal(rows[-1], grid.circle_points())
+
+
 class TestDirectOnCircle:
     # the operator is the identity on 1/z + c_0 + c_1 z
     _PARAMS = BMLParams(1.0, 1.0, 1.0, 0.0)
@@ -717,7 +727,8 @@ class TestProvenZero:
             # Newton goes on from its best iterate until |F| is at rounding,
             # |F| <= 4 eps (|B| + |W D|), though its start is far from the zero
             b, d = membership._eval_series(
-                membership._scan_series(f, spec, which), np.array([rep.witness_z])
+                membership._jet_table(membership._scan_series(f, spec, which), 0),
+                np.array([rep.witness_z]),
             )
             w, _ = membership._direction_weights(spec, np.array([rep.witness_x]), which)
             scale = abs(b[0]) + abs(w[0] * d[0])
@@ -825,14 +836,11 @@ class TestPolishMinimum:
     def test_torus_jet_matches_central_differences(self, theta, which):
         spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
-        series = [
-            s for pair in membership._scan_series(f, spec, which)
-            for s in (pair, z_fprime(pair), z_fprime(z_fprime(pair)))
-        ]
+        table = membership._jet_table(membership._scan_series(f, spec, which), 2)
 
         def jet(phi, t, rho=0.9):
             z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
-            return membership._torus_jet(series, spec, which, z, x)
+            return membership._torus_jet(table, spec, which, z, x)
 
         def value(phi, t, rho=0.9):
             return jet(phi, t, rho)[0]
@@ -841,7 +849,7 @@ class TestPolishMinimum:
         # the batch the zero search evaluates, with d/drho = -i F_phi / rho
         phis, ts = np.array(points).T
         batch = membership._torus_jet(
-            series, spec, which, 0.9 * np.exp(1j * phis), np.exp(1j * ts)
+            table, spec, which, 0.9 * np.exp(1j * phis), np.exp(1j * ts)
         )
         assert not batch[4].any()
         for k, (phi, t) in enumerate(points):
@@ -928,7 +936,7 @@ class TestSecantZeros:
         def at(mid):
             calls.append(1)
             return membership._inside_indicator(
-                spec, *membership._eval_series((s_base, s_dir), mid), "t1"
+                spec, *membership._eval_series(membership._jet_table((s_base, s_dir), 0), mid), "t1"
             )
 
         ref = bisect_reference(at, za, zb, fa)
