@@ -239,7 +239,9 @@ def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--radii", type=int, default=12, help="sampled radii of boundary-curve; the "
                    "checks sample only |z| = rmax (default 12)")
     p.add_argument("--angles", type=int, default=256, help="samples per circle (default 256)")
-    p.add_argument("--xsamples", type=int, default=512, help="unit-circle samples (default 512)")
+    p.add_argument("--xsamples", type=int, default=512, help="accepted for compatibility and "
+                   "validated (at least 8), but changes no result: the convolution checks "
+                   "minimise over the direction without sampling it (default 512)")
     p.add_argument("--delta", type=float, default=1e-9, help="non-vanishing threshold (default 1e-9)")
 
 
@@ -258,6 +260,15 @@ def _grid_of(args) -> GridSpec:
         boundary_x=args.xsamples,
         min_modulus=args.delta,
     )
+
+
+def _kernel_order(order: int, params: BMLParams, name: str) -> int:
+    """`order`, if the kernel weights reach it inside the Gamma range."""
+    if order > (top := max_kernel_order(params)):
+        raise CLIError(
+            f"{name} {order} exceeds {top}, the largest order in the Gamma range at {params}"
+        )
+    return order
 
 
 def _class_of(args, kind: str) -> ClassSpec:
@@ -287,7 +298,7 @@ def _cmd_op_coeffs(args) -> int:
 def _cmd_apply(args) -> int:
     f = _read_spec(args.function)
     params = _params_of(args)
-    order = max(1, min(f.order, max_kernel_order(params)))
+    order = max(1, _kernel_order(f.order, params, "the spec's order"))
     result = apply_operator(f, build_kernel(params, order))
     _emit(_series_lines(result), args.out)
     return 0
@@ -316,9 +327,7 @@ def _cmd_reconstruct(args) -> int:
     omega = SchwarzSpec(tuple(_parse_float_list(args.omega)))
     spec = _class_of(args, _KINDS[args.kind])
     params = _params_of(args)
-    if args.N > (top := max_kernel_order(params)):
-        raise CLIError(f"--N {args.N} exceeds {top}, the largest order in the Gamma range at {params}")
-    kernel = build_kernel(params, args.N)
+    kernel = build_kernel(params, _kernel_order(args.N, params, "--N"))
     f = reconstruct_f(spec, omega, kernel, args.N, _KINDS[args.kind])
     _emit(_series_lines(f), args.out)
     return 0

@@ -17,8 +17,10 @@ series f is decided three independent ways:
   indexed by boundary directions vanishes in the punctured disc: a sample
   whose annulling value leaves the target region, or a winding of the
   operator image other than -1, proves a zero, which Newton's method on
-  it locates (a secant is the safety net); else a pair scan and Newton
-  find the minimum modulus on the torus;
+  it locates (a secant is the safety net); else Newton's method in the
+  direction angle, at every circle sample from its annulling direction,
+  and then in both angles finds the minimum modulus on the torus (no
+  direction is sampled);
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -45,7 +47,7 @@ from .errors import (
 )
 from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
-from .solvers import newton_minimum, newton_zeros, secant_zeros
+from .solvers import newton_angle_minima, newton_minimum, newton_zeros, secant_zeros
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
@@ -135,8 +137,9 @@ class ClassSpec:
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling plan: every check samples |z| = r_max alone, at `angles`
-    points, and the convolution checks `boundary_x` directions; the polar
-    grid `radii` x `angles` serves only the boundary curve."""
+    points; the polar grid `radii` x `angles` serves only the boundary
+    curve.  `boundary_x` is validated but changes no result: the
+    convolution checks minimise over the direction without sampling it."""
 
     radii: tuple = ()
     r_max: float = 0.99
@@ -166,14 +169,15 @@ class GridSpec:
         """Samples of the polar grid, radius-major then angle, deterministic order."""
         return np.concatenate([circle(r, self.angles) for r in self.radii])
 
-    def x_points(self) -> np.ndarray:
-        """Unit-circle samples, offset half a step so x = 1 is never hit exactly."""
-        return np.exp(2j * np.pi * (np.arange(self.boundary_x) + 0.5) / self.boundary_x)
-
 
 @dataclass(frozen=True)
 class MembershipReport:
-    """Verdict plus the evidence needed to reproduce it."""
+    """Verdict plus the evidence needed to reproduce it.
+
+    `skipped` counts circle samples: for `check_direct` the singular ones,
+    left out of the margin; for `check_convolution` on a member, those whose
+    annulling direction is undefined or degenerate, so that the minimum over
+    x there starts from a fixed live direction (0 when a zero is found)."""
 
     verdict: str
     margin: float
@@ -330,9 +334,8 @@ def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return y * s[:, None]
 
 
-def _preimage(theta: PolynomialTheta, t_need, radius: float) -> np.ndarray:
-    """Per t, the root of Theta(x) = t whose modulus is nearest `radius` (inf if none)."""
-    roots = _preimage_roots(theta, t_need)
+def _nearest_root(roots: np.ndarray, radius: float) -> np.ndarray:
+    """Per row of `_preimage_roots`, the root whose modulus is nearest `radius` (inf if none)."""
     if roots.shape[1] == 0:
         return np.full(len(roots), np.inf, dtype=complex)
     k = np.argmin(np.abs(np.abs(roots) - radius), axis=1)
@@ -356,7 +359,7 @@ def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
     co = _trimmed_coefficients(spec.theta)
     if len(co) == 1:  # constant target: the region is the single point -1
         return -np.abs(ws + 1.0)
-    x = _preimage(spec.theta, _theta_need(spec, -ws.ravel()), 0.0)
+    x = _nearest_root(_preimage_roots(spec.theta, _theta_need(spec, -ws.ravel())), 0.0)
     finite = np.isfinite(x)
     x = np.where(finite, x, 0.0)
     slope = np.abs(np.polyval(np.polyder(co[::-1]), x))
@@ -544,35 +547,56 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
     return SigmaSeries(e - 1.0, (n - 1 + e) * h)
 
 
-def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
-    """Per-direction scan weight plus the skip mask of degenerate directions.
+@lru_cache(maxsize=16)
+def _direction_table(theta: PolynomialTheta, lam: float) -> np.ndarray:
+    """Coefficients of E = -Phi, x E' and x (x E')' for a polynomial target,
+    as the columns of an (M + 1) x 3 table: row k is E_k (1, k, k^2), with
+    E_0 = 1 and E_k = e^{-i lam} cos(lam) t_k."""
+    e = cmath.exp(-1j * lam) * math.cos(lam) * _trimmed_coefficients(theta)
+    e[0] = 1.0
+    table = e[:, None] * np.arange(len(e))[:, None] ** np.arange(3)
+    table.flags.writeable = False
+    return table
 
-    The scanned value is base(z) + W(x) dir(z); for t1 the weight is
+
+def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
+    """Per-direction weight plus the skip mask of degenerate directions.
+
+    The convolution value is base(z) + W(x) dir(z); for t1 the weight is
     W = -eps(x) = -1 - 1/(1 - E), for t2 it is W = E(x).  With
     `derivatives`, W_1 = x dW/dx and W_2 = x d/dx W_1 come between W and
-    the mask.
+    the mask.  E and its derivatives are one product of the powers of xs
+    with `_direction_table` for a polynomial target, closed forms for a
+    Möbius one.
     """
-    th, *dth, bad = theta_grid(spec.theta, xs, 2 if derivatives else 0)
-    rot = np.exp(-1j * spec.lam)
-    e = rot * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))
+    xs = np.asarray(xs, dtype=complex)
+    if isinstance(spec.theta, JanowskiTheta):
+        th, *dth, bad = theta_grid(spec.theta, xs, 2 if derivatives else 0)
+        rot = np.exp(-1j * spec.lam)
+        es = [rot * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))]
+        if derivatives:
+            c = rot * math.cos(spec.lam)
+            es.append(c * xs * dth[0])  # x dE/dx
+            es.append(es[1] + c * xs * xs * dth[1])  # x d/dx (x dE/dx)
+    else:
+        table = _direction_table(spec.theta, spec.lam)[:, : 3 if derivatives else 1]
+        es = list((np.vander(xs, len(table), increasing=True) @ table).T)
+        bad = False
+    e = es[0]
     skip = bad | (np.abs(1.0 - e) < _DEGENERATE_TOL)
-    w = e
-    if which == "t1":
-        den = np.where(skip, 1.0, 1.0 - e)
-        w = -(2.0 - e) / den
+    if which == "t2":
+        return (*es, skip)
+    den = np.where(skip, 1.0, 1.0 - e)
+    w = -(2.0 - e) / den
     if not derivatives:
         return w, skip
-    xs = np.asarray(xs, dtype=complex)
-    c = rot * math.cos(spec.lam)
-    e1 = c * xs * dth[0]  # x dE/dx
-    e2 = e1 + c * xs * xs * dth[1]  # x d/dx (x dE/dx)
-    if which == "t2":
-        return w, e1, e2, skip
-    return w, -e1 / den**2, -e2 / den**2 - 2.0 * e1 * e1 / den**3, skip
+    e1, e2 = es[1:]
+    w1 = -e1 / (den * den)
+    return w, w1, (2.0 * w1 * e1 - e2 / den) / den, skip
 
 
-def _scan_series(f: SigmaSeries, spec: ClassSpec, which: str):
-    """The (base, direction) series pair whose combination the scan evaluates."""
+def _convolution_series(f: SigmaSeries, spec: ClassSpec, which: str):
+    """The (base, dir) series pair of the convolution value base + W dir."""
     target = alexander(f) if spec.kind == "convex" else f
     g = _bml_image(target, spec.params)
     n = np.arange(1, g.order + 1)
@@ -636,162 +660,68 @@ def _polish_minimum(table, spec, which, z0, x0, radius):
     return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
 
 
-def _annulling_points(
-    spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str, radius: float
-):
-    """Per sample, the point x (not restricted to the circle) whose direction
-    annuls the scan value: E(x) = e, with e the annulling value
-    (2 dir - base)/(dir - base) for t1 and -base/dir for t2.  A Möbius
-    target has one such x; for a polynomial target, the root whose modulus
-    is nearest `radius`."""
+def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
+    """Per sample, points x (not restricted to the circle) whose direction
+    annuls the convolution value: E(x) = e, with e the annulling value
+    (2 dir - base)/(dir - base) for t1 and -base/dir for t2.  Returns
+    (inner, outer): a Möbius target has one such x, which is both; for a
+    polynomial target, one `_preimage_roots` solve gives the root nearest
+    the origin and the root whose modulus is nearest 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
         e = (2.0 * dirv - base) / (dirv - base) if which == "t1" else -base / dirv
         t = _theta_need(spec, e)
         if isinstance(spec.theta, JanowskiTheta):
-            return (t - 1.0) / (spec.theta.A - spec.theta.B * t)
-    return _preimage(spec.theta, t, radius)
+            x = (t - 1.0) / (spec.theta.A - spec.theta.B * t)
+            return x, x
+    roots = _preimage_roots(spec.theta, t)
+    return _nearest_root(roots, 0.0), _nearest_root(roots, 1.0)
 
 
-def _inside_indicator(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
-    """Signed indicator (|x| - 1)/(|x| + 1) of the annulling direction x:
+def _inside_indicator(inner: np.ndarray) -> np.ndarray:
+    """Signed indicator (|x| - 1)/(|x| + 1) of the inner annulling points x:
     negative where x lies inside the unit circle (the annulling value sits
     inside the target region), positive outside, -1 at the puncture.  It
     stays in [-1, 1], so a radius that ends near a pole of the annulling
     value does not stall the secant on a huge end value."""
-    size = np.abs(_annulling_points(spec, base, dirv, which, 0.0))
+    size = np.abs(inner)
     with np.errstate(invalid="ignore"):
         return (size - 1.0) / (size + 1.0)
 
 
-def _nearest_circle_direction(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
-    """Per point, the direction on the circle nearest to annulling the value
-    there (nan where there is none)."""
-    x = _annulling_points(spec, base, dirv, which, 1.0)
-    ok = np.isfinite(x) & (x != 0)
-    x = np.where(ok, x, 1.0)
+def _circle_direction(outer: np.ndarray) -> np.ndarray:
+    """Per outer annulling point, the direction on the circle nearest to
+    annulling the value there (nan where there is none)."""
+    ok = np.isfinite(outer) & (outer != 0)
+    x = np.where(ok, outer, 1.0)
     return np.where(ok, x / np.abs(x), np.nan)
 
 
-# entries of the complex block that the convolution scan reuses (1 MiB)
-_SCAN_BLOCK = 1 << 16
+def _direction_minima(spec: ClassSpec, which: str, base, dirv, x: np.ndarray):
+    """Per sample, the least |base + W(e^{it}) dirv| that the steps of
+    `newton_angle_minima` in the direction angle t reach, from the
+    angle of x, the circle direction that annuls the value there, or from
+    a fixed live direction where x is undefined or degenerate.  Returns
+    (t, |F|, number of such starts).  |F| is a value F takes, so never
+    below the minimum over t; where the start lies far from that minimum
+    (an annulling point deep inside the disc) it may stay above it, and
+    the polish in both angles from the smallest sample is what makes the
+    margin the torus minimum."""
+    _, skip = _direction_weights(spec, np.where(np.isnan(x), 1.0, x), which)
+    fallback = np.isnan(x) | skip
+    t = np.angle(x)
+    if fallback.any():  # the first live one of m + 2 angles: at most m are degenerate
+        poly = isinstance(spec.theta, PolynomialTheta)
+        m = len(_trimmed_coefficients(spec.theta)) - 1 if poly else 1
+        ts = np.pi * (2 * np.arange(m + 2) + 1) / (m + 2)
+        _, dead = _direction_weights(spec, np.exp(1j * ts), which)
+        t = np.where(fallback, ts[np.argmin(dead)], t)
 
+    def jet(t):  # F = B + W D and its t-derivatives i W_1 D, -W_2 D
+        w, w1, w2, skip = _direction_weights(spec, np.exp(1j * t), which, True)
+        return base + w * dirv, 1j * w1 * dirv, -w2 * dirv, skip
 
-def _direction_clusters(ws: np.ndarray, live: np.ndarray):
-    """Centre weight, radius and smallest modulus of each cluster of live directions.
-
-    The live directions are cut into runs of isqrt(2 len(ws)) consecutive
-    ones (the last run may be shorter); a run's centre is its middle
-    direction and its radius the largest |w_j - w_centre| over the run.
-    That length balances the two passes of `_scan_minimum`: the bound
-    pass computes one modulus per cluster and row, while the rows left to
-    the full scan grow with the radii, that is with the run length.
-    """
-    size = max(1, math.isqrt(2 * len(ws)))
-    starts = np.arange(0, len(live), size)
-    counts = np.diff(starts, append=len(live))
-    w = ws[live]
-    centre = w[starts + counts // 2]
-    radius = np.maximum.reduceat(np.abs(w - np.repeat(centre, counts)), starts)
-    smallest = np.minimum.reduceat(np.abs(w), starts)
-    return centre, radius, smallest
-
-
-def _kept_rows(base, dirv, ws, skip, cbuf: np.ndarray, fbuf: np.ndarray) -> np.ndarray:
-    """Rows of the scan that can hold its minimum or a NaN, ascending.
-
-    The bound pass of `_scan_minimum`, streamed through its buffers.  For
-    a cluster with centre w_c, radius rho and smallest modulus m, every
-    live j in it has, by the triangle inequality both ways,
-
-        |b_i + w_j d_i| >= max(|b_i + w_c d_i| - rho |d_i|,  m |d_i| - |b_i|);
-
-    the lower bound L_i of row i is the least of these over the clusters,
-    and V_i, its least centre modulus, is a value the scan itself
-    computes.  Row i is dropped when L_i - tau_i > U = min_k (V_k + tau_k).
-
-    Rounding (eps = 2^-52, s_i = |b_i| + W |d_i|, W the largest live |w|):
-    a modulus the scan computes for row i is within 3 eps s_i of the exact
-    |b_i + w_j d_i| (complex product sqrt(5)/2 eps, sum 1/2 eps, modulus
-    eps, each relative to at most s_i).  A computed cluster bound is
-    within 11 eps s_i of an exact one: 3 for the centre modulus, 6 for
-    rho |d_i| (rho <= 2W), 2 for the difference; the modulus bound is
-    within 3.  Forming L_i - tau_i or V_i + tau_i moves a value by at
-    most 2 eps s_i more.  With tau_i = 32 eps s_i, every modulus of a
-    dropped row exceeds U, and U exceeds the modulus the full scan
-    computes at the best centre of a row that is kept, so no dropped row
-    can hold the minimum or tie it.  32 s_i is formed before the factor
-    eps: where it overflows, some modulus of the row might too, and
-    tau_i = inf keeps the row.  Below that nothing overflows and finite
-    inputs give no NaN; a NaN or inf input reaches L, tau or U and makes
-    the test false, so its row (all rows, when W or U is not finite) is
-    kept.
-    """
-    live = np.flatnonzero(~skip)
-    if len(live) == 0 or len(base) == 0:
-        return np.arange(len(base))
-    # NaN and overflow below are meant: they keep the row
-    with np.errstate(invalid="ignore", over="ignore"):
-        centre, radius, smallest = _direction_clusters(ws, live)
-        big_w = np.abs(ws[live]).max()
-        lower = np.empty(len(base))  # L_i - tau_i
-        upper = math.inf  # U
-        k = len(centre)
-        rows = len(fbuf) // k
-        for start in range(0, len(base), rows):
-            stop = min(start + rows, len(base))
-            absb, absd = np.abs(base[start:stop]), np.abs(dirv[start:stop])
-            tau = np.finfo(float).eps * (32.0 * (absb + big_w * absd))
-            n = (stop - start) * k
-            c, v = cbuf[:n].reshape(-1, k), fbuf[:n].reshape(-1, k)
-            # once v holds the moduli, c's memory serves as two float blocks
-            t = cbuf.view(float)[: 2 * n].reshape(2, -1, k)
-            np.multiply(dirv[start:stop, None], centre, out=c)
-            np.add(c, base[start:stop, None], out=c)
-            np.abs(c, out=v)
-            upper = np.minimum(upper, np.min(v.min(axis=1) + tau))
-            np.multiply(absd[:, None], radius, out=t[0])
-            np.subtract(v, t[0], out=v)
-            np.multiply(absd[:, None], smallest, out=t[1])
-            np.subtract(t[1], absb[:, None], out=t[1])
-            np.maximum(v, t[1], out=v)
-            np.subtract(v.min(axis=1), tau, out=lower[start:stop])
-        return np.flatnonzero(~(lower > upper))
-
-
-def _scan_minimum(base: np.ndarray, dirv: np.ndarray, ws: np.ndarray, skip: np.ndarray):
-    """Smallest |base[i] + ws[j] dirv[i]| over all pairs, as (value, i, j).
-
-    Branch and bound in two passes over one fixed pair of buffers of
-    _SCAN_BLOCK entries (one row if a row is longer), so memory does not
-    grow with the number of samples: `_kept_rows` bounds every row from
-    below through clusters of directions and drops the rows provably
-    above a value the scan attains, then whole kept rows go through the
-    full scan.  The result is np.argmin's over the full matrix, bit for
-    bit: the first occurrence of the minimum wins, and so does the first
-    NaN.
-    """
-    nx = len(ws)
-    cbuf = np.empty(max(_SCAN_BLOCK, nx), dtype=complex)
-    fbuf = np.empty(len(cbuf))
-    kept = _kept_rows(base, dirv, ws, skip, cbuf, fbuf)
-    rows = len(cbuf) // nx
-    cols = np.flatnonzero(skip)
-    best = (math.inf, 0, 0)
-    for start in range(0, len(kept), rows):
-        idx = kept[start : start + rows]
-        n = len(idx) * nx
-        b, v = cbuf[:n].reshape(-1, nx), fbuf[:n].reshape(-1, nx)
-        np.multiply(dirv[idx, None], ws, out=b)
-        np.add(b, base[idx, None], out=b)
-        np.abs(b, out=v)
-        v[:, cols] = np.inf
-        k = int(np.argmin(v))
-        val = float(v.flat[k])
-        if val < best[0] or math.isnan(val):
-            best = (val, int(idx[k // nx]), k % nx)
-            if math.isnan(val):
-                break
-    return best
+    t, size = newton_angle_minima(jet, t)
+    return t, size, int(fallback.sum())
 
 
 def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: float):
@@ -827,18 +757,18 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
     return _image_zeros(s_pole, zs, evaluate_grid(s_pole, zs), r_max)
 
 
-def _zero_witness(table, spec: ClassSpec, which: str, ends, grid: GridSpec):
+def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     """(|F|, z, x) at the best zero of F on the rays to the points `ends`, by
-    `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the nearest circle
-    direction), else by the secant on the inside indicator over [0, z_k];
-    `InconclusiveError` when neither gets |F| below grid.min_modulus."""
+    `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
+    x_k, the circle direction nearest to annulling F at z_k), else by the
+    secant on the inside indicator over [0, z_k]; `InconclusiveError` when
+    neither gets |F| below grid.min_modulus."""
     u = ends / np.abs(ends)
 
     def jet(rho, t):
         f, (f_phi, f_t), _, scale, skip = _torus_jet(table, spec, which, rho * u, np.exp(1j * t))
         return f, -1j * f_phi / rho, f_t, scale, skip
 
-    x = _nearest_circle_direction(spec, *_eval_series(table, ends, 2), which)
     rho, t, size, scale, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
     k = int(np.argmin(size))  # a start far from its zero can spend the step budget halving rho
     if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale[k]:
@@ -847,11 +777,13 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, grid: GridSpec):
     z, x = rho * u, np.exp(1j * t)
     if not np.any(size < grid.min_modulus):
         z = secant_zeros(
-            lambda z: _inside_indicator(spec, *_eval_series(table, z, 2), which),
+            lambda z: _inside_indicator(
+                _annulling_points(spec, *_eval_series(table, z, 2), which)[0]
+            ),
             np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
         )
         z = z[np.isfinite(z) & (z != 0)]
-        x = _nearest_circle_direction(spec, *_eval_series(table, z, 2), which)
+        x = _circle_direction(_annulling_points(spec, *_eval_series(table, z, 2), which)[1])
     w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
     bz, dz = _eval_series(table, z, 2)
     vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(bz + w * dz))
@@ -871,41 +803,45 @@ def check_convolution(
     the target region.  e is E(0) = 1, inside, at the puncture, and its
     only poles are the zeros of the operator image G (base - dir for t1,
     dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
-    region at a sample of |z| = r_max (grid.angles of them; grid.radii is
-    not used), or G has a zero inside (`_image_zeros`: a winding other than
-    -1 that a located zero backs).  On the ray to such a sample or zero,
-    Newton's method on F locates a zero, a bracketed secant its safety
-    net: a non-member, or `InconclusiveError` when no |F| falls below
-    grid.min_modulus.  With no zero, |F| is smallest on the torus
-    |z| = r_max, |x| = 1, where the pair scan (`_scan_minimum`) and
-    Newton's method in the two angles find it: member iff it is at least
+    region at a sample of |z| = r_max (grid.angles of them; grid.radii and
+    grid.boundary_x are not used), or G has a zero inside (`_image_zeros`:
+    a winding other than -1 that a located zero backs).  On the ray to
+    such a sample or zero, Newton's method on F locates a zero, a
+    bracketed secant its safety net: a non-member, or `InconclusiveError`
+    when no |F| falls below grid.min_modulus.  With no zero, |F| is
+    smallest on the torus |z| = r_max, |x| = 1: Newton's method in the
+    direction angle at every circle sample (`_direction_minima`), then in
+    both angles from the smallest, finds it: member iff it is at least
     grid.min_modulus.  For the convex kind the test is applied to -z f'.
     """
     _require_sigma(f)
     _require_univalent(spec.theta)
     _require_which(which)
-    s_base, s_dir = _scan_series(f, spec, which)
+    if isinstance(spec.theta, PolynomialTheta) and len(_trimmed_coefficients(spec.theta)) == 1:
+        raise InconclusiveError("the target is constant: every boundary direction is degenerate")
+    s_base, s_dir = _convolution_series(f, spec, which)
     zs = grid.circle_points()
-    xs = grid.x_points()
-    ws, skip = _direction_weights(spec, xs, which)
-    skipped = int(skip.sum())
-    if skipped == len(xs):
-        raise InconclusiveError("every boundary direction is degenerate")
     base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-    ends = zs[~(_inside_indicator(spec, base, dirv, which) < 0.0)]
+    inner, outer = _annulling_points(spec, base, dirv, which)
+    outside = ~(_inside_indicator(inner) < 0.0)
+    table = _jet_table((s_base, s_dir), 2)
+    x = _circle_direction(outer)
+    ends, x_ends = zs[outside], x[outside]
     if len(ends) == 0:
         s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
         ends = _image_zeros(s_pole, zs, g, grid.r_max)
-    table = _jet_table((s_base, s_dir), 2)
+        if len(ends) > 0:
+            values = _eval_series(table, ends, 2)
+            x_ends = _circle_direction(_annulling_points(spec, *values, which)[1])
+    skipped = 0
     if len(ends) > 0:
-        best_val, best_z, best_x = _zero_witness(table, spec, which, ends, grid)
+        best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x_ends, grid)
     else:
-        best_val, i0, j0 = _scan_minimum(base, dirv, ws, skip)
-        best_z, best_x = complex(zs[i0]), complex(xs[j0])
+        t, size, skipped = _direction_minima(spec, which, base, dirv, x)
+        i = int(np.argmin(size))
+        best_val, best_z, best_x = float(size[i]), complex(zs[i]), cmath.exp(1j * t[i])
         if best_val >= grid.min_modulus:
-            val, z_ref, x_ref, _ = _polish_minimum(
-                table, spec, which, best_z, best_x, grid.r_max
-            )
+            val, z_ref, x_ref, _ = _polish_minimum(table, spec, which, best_z, best_x, grid.r_max)
             if val < best_val:
                 best_val, best_z, best_x = val, z_ref, x_ref
 
@@ -920,12 +856,12 @@ def check_convolution(
 
 
 def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, which: str):
-    """Scan value at one (z, x) pair with |x| = 1, for report re-evaluation."""
+    """Convolution value at one (z, x) pair with |x| = 1, for report re-evaluation."""
     _require_which(which)
     _require_on_circle(x)
     if z == 0:
         raise PoleError("the convolution has a pole at z = 0")
-    s_base, s_dir = _scan_series(f, spec, which)
+    s_base, s_dir = _convolution_series(f, spec, which)
     ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
     if skip[0]:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")

@@ -1,8 +1,9 @@
 """Superlinear iterations that polish the witnesses of the convolution check,
 each on a function the caller gives: ``newton_zeros`` locates zeros in two
 real unknowns by Newton's method, with ``secant_zeros`` (Illinois regula
-falsi on segments) as its bracketed safety net, and ``newton_minimum``
-minimises |F|^2 over two angles by a safeguarded Newton's method.
+falsi on segments) as its bracketed safety net, and ``newton_minimum`` and
+``newton_angle_minima`` minimise |F|^2 by a safeguarded Newton's method,
+over two angles from one start or over one angle from many at once.
 """
 
 from __future__ import annotations
@@ -20,6 +21,12 @@ _NEWTON_STEPS = 40
 _BACKTRACKS = 8
 # longest step in an angle that the polish or the zero search takes at once
 _MAX_STEP = 0.1
+# longest step of the one-angle minimisation: its starts can lie far from
+# the minimum, and an iterate counts only where it lowers |F|
+_ANGLE_STEP = 0.5
+# steps of the one-angle minimisation (fewer left random members above a
+# dense scan of the torus; see `membership._direction_minima`)
+_ANGLE_STEPS = 3
 # step budget of the Newton zero search (zeros near its starts close in 3-4)
 _ZERO_STEPS = 8
 
@@ -147,3 +154,33 @@ def newton_minimum(jet, angles: np.ndarray):
             break
         angles, at = angles + move, trial
     return angles, float(abs(at[0])), steps
+
+
+def newton_angle_minima(jet, t: np.ndarray):
+    """Newton steps towards the minima of g = |F|^2 in one angle, all starts at once.
+
+    jet(t) gives (F, F_t, F_tt, undefined) at the angles t.  Each of the
+    _ANGLE_STEPS steps is Newton's, -g'/g'' with g' = 2 Re(conj(F) F_t) and
+    g'' = 2 (|F_t|^2 + Re(conj(F) F_tt)), where g'' > 0, else the
+    Gauss-Newton step -g'/(2 |F_t|^2); none is longer than _ANGLE_STEP.
+    Returns (t, |F|) per start at the least |F| its iterates reached (nan
+    where F is nan at the start, inf where it is undefined throughout).
+    """
+    t = np.array(t, dtype=float)
+    for k in range(_ANGLE_STEPS + 1):
+        f, f_t, f_tt, undefined = jet(t)
+        size = np.where(undefined, math.inf, np.abs(f))
+        if k == 0:
+            best_t, best = t, size
+        better = size < best
+        best_t, best = np.where(better, t, best_t), np.where(better, size, best)
+        if k == _ANGLE_STEPS:
+            break
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            slope = (f.conjugate() * f_t).real
+            gauss = np.abs(f_t) ** 2
+            curv = gauss + (f.conjugate() * f_tt).real
+            step = -slope / np.where(curv > 0.0, curv, gauss)
+        # a nan step (0/0, where F_t = 0 and g'' <= 0) becomes -_ANGLE_STEP
+        t = t + np.fmin(np.fmax(step, -_ANGLE_STEP), _ANGLE_STEP)
+    return best_t, best

@@ -1,7 +1,20 @@
 import numpy as np
 import pytest
 
+import bml
 from bml import BMLParams, GridSpec
+
+
+@pytest.fixture(autouse=True)
+def _clear_bml_caches():
+    """Empty bml's module-level lru caches (kernels, target coefficient
+    tables, roots of unity, quadrature nodes) after each test, so that no
+    test's outcome depends on which tests ran before it."""
+    yield
+    for module in (bml.laurent, bml.membership, bml.integral_repr):
+        for value in vars(module).values():
+            if callable(getattr(value, "cache_clear", None)):
+                value.cache_clear()
 
 
 @pytest.fixture

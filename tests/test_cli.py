@@ -115,6 +115,19 @@ class TestApply:
         assert g.coefficient(2) == pytest.approx(1.0, rel=1e-12)
         assert g.coefficient(3) == pytest.approx(0.5, rel=1e-12)
 
+    def test_order_past_the_gamma_range_exits_2(self, capsys, tmp_path):
+        # K = theta = a = 1 keeps 170 weights inside the Gamma range: a
+        # 400-coefficient spec must not come back 170 coefficients long
+        src = tmp_path / "f.spec"
+        src.write_text("principal 1 0\ncoef 2 0.5 0\ncoef 400 1e-3 0\n")
+        code, out, err = run(capsys, "apply", str(src), "--K", "1", "--theta", "1", "--a", "1")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "order 400" in err and " 170," in err and "K=1.0, theta=1.0, a=1.0, s=0.0" in err
+        src.write_text("principal 1 0\ncoef 2 0.5 0\ncoef 170 1e-3 0\n")
+        code, out, _ = run(capsys, "apply", str(src), "--K", "1", "--theta", "1", "--a", "1")
+        assert code == 0 and parse_function_spec(out).order == 170
+
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run(capsys, "apply", "/nonexistent/path.spec")
         assert code == 2

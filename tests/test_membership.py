@@ -45,12 +45,7 @@ from bml import (
 import bml.membership as membership
 from bml.cli import main
 from bml.solvers import _NEWTON_STEPS, _ZERO_STEPS, secant_zeros
-from bml.membership import (
-    _SCAN_BLOCK,
-    _kept_rows,
-    _preimage_roots,
-    _scan_minimum,
-)
+from bml.membership import _preimage_roots
 from oracles import (
     bisect_reference,
     central_derivative,
@@ -60,6 +55,11 @@ from oracles import (
     pattern_search_reference,
     preimage_roots_reference,
 )
+
+
+def _directions(n):
+    """n unit-circle samples, offset half a step so x = 1 is never hit exactly."""
+    return np.exp(2j * np.pi * (np.arange(n) + 0.5) / n)
 
 
 def _spec(lam=0.0, A=1.0, B=-1.0, kind="spirallike", params=None):
@@ -561,10 +561,32 @@ class TestKernelSeries:
 
 
 class TestCheckConvolution:
-    def test_pole_min_modulus(self, fast_grid):
-        rep = check_convolution(SigmaSeries(1.0, []), _spec(0.0, 0.0, -1.0), fast_grid, "t1")
+    @pytest.mark.parametrize("which,value", [("t1", 1.0), ("t2", 0.5)])
+    def test_pole_min_modulus(self, fast_grid, which, value):
+        # f = 1/z: the annulling value is E(0) = 1 at every sample, so (up to
+        # rounding) no sample has an annulling direction on the circle and
+        # its minimum starts from the fixed live direction, not at inf
+        rep = check_convolution(SigmaSeries(1.0, []), _spec(0.0, 0.0, -1.0), fast_grid, which)
         assert rep.is_member
-        assert rep.margin == pytest.approx(1.0 / fast_grid.r_max, rel=1e-6)
+        assert rep.margin == pytest.approx(value / fast_grid.r_max, rel=1e-6)
+        assert 0 < rep.skipped <= fast_grid.angles
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_skipped_counts_samples_without_a_live_annulling_direction(self, fast_grid, which):
+        f, spec = SigmaSeries(1.0, [0.05, 0.02]), _spec(0.2, 0.5, -0.3)
+        assert check_convolution(f, spec, fast_grid, which).skipped == 0
+        # the extremal half-plane member is annulled at z = r_max by x = 1,
+        # the pole of the target: the one sample that starts elsewhere
+        f, spec = extremal_function(0.5, 0.0, 32), _spec(0.0, 0.0, -1.0)
+        rep = check_convolution(f, spec, fast_grid, which)
+        assert rep.is_member and rep.skipped == 1
+
+    def test_constant_target_is_inconclusive(self, fast_grid):
+        # E = 1 at every direction: each one is degenerate
+        spec = ClassSpec(0.2, PolynomialTheta((1.0,)), "spirallike", BMLParams(1, 1, 1, 0))
+        for which in ("t1", "t2"):
+            with pytest.raises(InconclusiveError, match="every boundary direction is degenerate"):
+                check_convolution(SigmaSeries(1.0, [0.05]), spec, fast_grid, which)
 
     def test_methods_agree_member_and_nonmember(self, fast_grid):
         spec = _spec(0.0, 0.0, -1.0)
@@ -655,6 +677,19 @@ class TestCheckConvolution:
         assert check_convolution(bad, spec, fast_grid, "t1").verdict == "non-member"
         assert check_convolution(bad, spec, fast_grid, "t2").verdict == "non-member"
 
+    def test_memory_bounded_on_big_grid(self):
+        spec = _spec(0.0, 0.0, -1.0, params=BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = extremal_function(0.5, 0.0, 64)
+        grid = GridSpec(angles=1024, boundary_x=1024)
+        tracemalloc.start()
+        try:
+            rep = check_convolution(f, spec, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.is_member
+        assert peak < 16 * 2**20  # a dense 12,288 x 1,024 pair scan would hold 192 MiB
+
 
 def _counted(monkeypatch, name, fake=None):
     """Replace membership.<name> by `fake` (default: the real one), recording
@@ -692,10 +727,11 @@ class TestProvenZero:
         f = SigmaSeries(1.0, tail)
         spec = ClassSpec(0.0, PolynomialTheta((1.0, slope)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
-        s_base, s_dir = membership._scan_series(f, spec, which)
+        s_base, s_dir = membership._convolution_series(f, spec, which)
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-        assert np.all(membership._inside_indicator(spec, base, dirv, which) < 0.0)
+        inner, _ = membership._annulling_points(spec, base, dirv, which)
+        assert np.all(membership._inside_indicator(inner) < 0.0)
         # with Newton held at its starts, the secant locates the zero
         if newton == "stays":
             _counted(monkeypatch, "newton_zeros", _newton_stays)
@@ -727,7 +763,7 @@ class TestProvenZero:
             # Newton goes on from its best iterate until |F| is at rounding,
             # |F| <= 4 eps (|B| + |W D|), though its start is far from the zero
             b, d = membership._eval_series(
-                membership._jet_table(membership._scan_series(f, spec, which), 0),
+                membership._jet_table(membership._convolution_series(f, spec, which), 0),
                 np.array([rep.witness_z]),
             )
             w, _ = membership._direction_weights(spec, np.array([rep.witness_x]), which)
@@ -836,7 +872,7 @@ class TestPolishMinimum:
     def test_torus_jet_matches_central_differences(self, theta, which):
         spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
-        table = membership._jet_table(membership._scan_series(f, spec, which), 2)
+        table = membership._jet_table(membership._convolution_series(f, spec, which), 2)
 
         def jet(phi, t, rho=0.9):
             z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
@@ -890,7 +926,7 @@ class TestPolishMinimum:
             rep = check_convolution(f, spec, grid, which)
             assert rep.is_member
             assert abs(rep.witness_z) == pytest.approx(grid.r_max, rel=1e-15)
-            s_base, s_dir = membership._scan_series(f, spec, which)
+            s_base, s_dir = membership._convolution_series(f, spec, which)
 
             def modulus(zs, ts):
                 ws, skip = membership._direction_weights(spec, np.exp(1j * ts), which)
@@ -898,13 +934,13 @@ class TestPolishMinimum:
                 return np.where(skip, np.inf, vals)
 
             # the pattern search the polish replaced, from the scan's argmin
-            zs, xs = grid.z_points(), grid.x_points()
+            zs, xs = grid.z_points(), _directions(512)
             ws, skip = membership._direction_weights(spec, xs, which)
             base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
             scan, i, j = dense_scan_minimum(base, dirv, ws, skip)
             step_z = max(np.diff(grid.radii).max(), abs(zs[i]) * 2.0 * np.pi / grid.angles)
             pattern = pattern_search_reference(
-                modulus, zs[i], np.angle(xs[j]), step_z, 2.0 * np.pi / grid.boundary_x,
+                modulus, zs[i], np.angle(xs[j]), step_z, 2.0 * np.pi / len(xs),
                 grid.r_max, grid.min_modulus,
             )[0]
             assert rep.margin <= min(scan, pattern) * (1.0 + 1e-12)
@@ -924,20 +960,20 @@ class TestSecantZeros:
     )
     def test_matches_80_step_bisection_in_few_calls(self, fast_grid, theta):
         spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
-        s_base, s_dir = membership._scan_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
+        s_base, s_dir = membership._convolution_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
         zs = fast_grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         # a non-member: the radii [0, z_k] of its outside samples bracket a zero
-        zb = zs[~(membership._inside_indicator(spec, base, dirv, "t1") < 0.0)]
+        inner, _ = membership._annulling_points(spec, base, dirv, "t1")
+        zb = zs[~(membership._inside_indicator(inner) < 0.0)]
         za, fa = np.zeros(len(zb), dtype=complex), np.full(len(zb), -1.0)
         assert len(zb) > 0
         calls = []
 
         def at(mid):
             calls.append(1)
-            return membership._inside_indicator(
-                spec, *membership._eval_series(membership._jet_table((s_base, s_dir), 0), mid), "t1"
-            )
+            values = membership._eval_series(membership._jet_table((s_base, s_dir), 0), mid)
+            return membership._inside_indicator(membership._annulling_points(spec, *values, "t1")[0])
 
         ref = bisect_reference(at, za, zb, fa)
         calls.clear()
@@ -991,218 +1027,6 @@ class TestSecantZeros:
         got, ref, _ = self._run(fn, 2.0 * np.arange(4) + 1.0, 2.0 * np.arange(4) + 2.0)
         assert np.all(np.abs(got.real - roots) <= 4e-15) and np.all(got.imag == 0.0)
         assert np.all(np.abs(got - ref) <= 1e-12)
-
-
-class TestScanMinimum:
-    @staticmethod
-    def _arrays(rng, n_points, n_dirs):
-        def cplx(n):
-            return rng.normal(size=n) + 1j * rng.normal(size=n)
-
-        return cplx(n_points), cplx(n_points), cplx(n_dirs), np.zeros(n_dirs, dtype=bool)
-
-    def test_several_blocks_and_partial_last(self, rng):
-        n_dirs = 96
-        rows = _SCAN_BLOCK // n_dirs
-        for n_points in (1, rows - 1, rows, 3 * rows + 17):
-            base, dirv, ws, skip = self._arrays(rng, n_points, n_dirs)
-            assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
-
-    def test_one_row_per_block_when_directions_exceed_block(self, rng):
-        base, dirv, ws, skip = self._arrays(rng, 5, _SCAN_BLOCK + 3)
-        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
-
-    def test_skip_mask(self, rng):
-        base, dirv, ws, _ = self._arrays(rng, 3000, 64)
-        plain = dense_scan_minimum(base, dirv, ws, np.zeros(64, dtype=bool))
-        skip = rng.random(64) < 0.3
-        skip[plain[2]] = True  # the unmasked minimum must drop out
-        got = _scan_minimum(base, dirv, ws, skip)
-        assert got == dense_scan_minimum(base, dirv, ws, skip)
-        assert not skip[got[2]] and got[0] > plain[0]
-
-    def test_ties_across_blocks_first_wins(self):
-        n_dirs = 64
-        rows = _SCAN_BLOCK // n_dirs
-        n_points = 3 * rows
-        ws = np.full(n_dirs, 1.0 + 0j)
-        ws[[5, 40]] = 0.25  # a tie inside each row as well
-        base = np.full(n_points, 3.0 + 0j)
-        dirv = np.ones(n_points, dtype=complex)
-        late = [rows + 7, 2 * rows + 1]  # the same minimum in blocks 1 and 2
-        base[late] = 0.0
-        skip = np.zeros(n_dirs, dtype=bool)
-        expected = dense_scan_minimum(base, dirv, ws, skip)
-        assert expected == (0.25, late[0], 5)
-        assert _scan_minimum(base, dirv, ws, skip) == expected
-
-    def test_nan_in_later_block_wins(self, rng):
-        n_dirs = 64
-        rows = _SCAN_BLOCK // n_dirs
-        base, dirv, ws, skip = self._arrays(rng, 3 * rows, n_dirs)
-        base[3] = -dirv[3] * ws[9]  # an exact zero in block 0
-        dirv[2 * rows + 4] = complex(math.nan, 0.0)
-        value, i, j = _scan_minimum(base, dirv, ws, skip)
-        ref_value, ref_i, ref_j = dense_scan_minimum(base, dirv, ws, skip)
-        assert math.isnan(value) and math.isnan(ref_value)
-        assert (i, j) == (ref_i, ref_j) == (2 * rows + 4, 0)
-
-    @staticmethod
-    def _curve_inputs(theta, which, grid, tail=(0.05, 0.02)):
-        """Scan inputs of a real check: base, direction and weight curves."""
-        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
-        s_base, s_dir = membership._scan_series(SigmaSeries(1.0, list(tail)), spec, which)
-        zs = grid.z_points()
-        ws, skip = membership._direction_weights(spec, grid.x_points(), which)
-        return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs), ws, skip
-
-    @staticmethod
-    def _assert_same(got, ref):
-        """Equal (value, i, j), a NaN value matching a NaN."""
-        assert got[1:] == ref[1:]
-        assert got[0] == ref[0] or (math.isnan(got[0]) and math.isnan(ref[0]))
-
-    @staticmethod
-    def _kept(base, dirv, ws, skip):
-        size = max(_SCAN_BLOCK, len(ws))
-        return _kept_rows(base, dirv, ws, skip, np.empty(size, dtype=complex), np.empty(size))
-
-    @pytest.mark.parametrize("which", ["t1", "t2"])
-    @pytest.mark.parametrize(
-        "theta",
-        [JanowskiTheta(0.5, -0.3), JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))],
-        ids=["disc", "half-plane", "polynomial"],
-    )
-    @pytest.mark.parametrize(
-        "grid",
-        # two radii keep the dense reference of the 1024 x 1024 grid near 100 MB
-        [GridSpec(), GridSpec(radii=(0.495, 0.99), angles=1024, boundary_x=1024)],
-        ids=["default", "1024x1024"],
-    )
-    @pytest.mark.parametrize("tail", [(0.05, 0.02), (0.0, 40.0)], ids=["member", "non-member"])
-    def test_real_weight_curves_match_dense(self, which, theta, grid, tail):
-        base, dirv, ws, skip = self._curve_inputs(theta, which, grid, tail)
-        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
-
-    @pytest.mark.parametrize("last", [0.5, np.nextafter(0.5, 0.0)], ids=["tie", "one-ulp-lower"])
-    def test_one_ulp_apart_and_tied_rows_across_kept_blocks(self, rng, last):
-        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
-        n_rows = 1000
-        base = 20.0 + rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
-        dirv = rng.normal(size=n_rows) + 1j * rng.normal(size=n_rows)
-        skip[:3] = True
-        # 400 constant rows 1 to 3 ulp above 0.5 stay within the rounding
-        # allowance, so the kept rows fill several blocks of the full scan
-        flat = np.arange(100, 900, 2)
-        dirv[flat] = 0.0
-        base[flat] = 0.5 + (1 + flat % 3) * np.spacing(0.5)
-        base[[301, 777]] = 0.5, last
-        dirv[[301, 777]] = 0.0
-        kept = self._kept(base, dirv, ws, skip)
-        assert np.isin([301, 777], kept).all() and len(kept) > 2 * (_SCAN_BLOCK // len(ws))
-        expected = dense_scan_minimum(base, dirv, ws, skip)
-        assert expected == ((last, 777, 3) if last < 0.5 else (0.5, 301, 3))
-        assert _scan_minimum(base, dirv, ws, skip) == expected
-
-    def test_rounding_allowance_keeps_row_whose_bound_overshoots_by_one_ulp(self):
-        # Row 0's cluster bound (b + w1) - |w1 - w0| rounds to 1 ulp above its
-        # minimum b + w0; row 1 ties that minimum at a cluster centre.  Only
-        # the rounding allowance keeps row 0, whose minimum comes first.
-        b, w0, w1 = 0.41432055203525664, -0.19460692976183436, 0.038336888078551824
-        x = b + w0
-        assert (b + w1) - abs(w1 - w0) == np.nextafter(x, 1.0)
-        base = np.array([b, x], dtype=complex)
-        dirv = np.array([1.0, 0.0], dtype=complex)
-        ws = np.array([w0, w1], dtype=complex)
-        skip = np.zeros(2, dtype=bool)
-        assert dense_scan_minimum(base, dirv, ws, skip) == (x, 0, 0)
-        assert _scan_minimum(base, dirv, ws, skip) == (x, 0, 0)
-
-    @pytest.mark.parametrize(
-        "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, math.nan)]
-    )
-    @pytest.mark.parametrize("where", ["base", "dirv"])
-    def test_nonfinite_row_that_bounds_would_drop(self, rng, bad, where):
-        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
-        row = 2000
-        base[row] = 50.0  # far above the minimum: dropped while finite
-        assert row not in self._kept(base, dirv, ws, skip)
-        {"base": base, "dirv": dirv}[where][row] = bad
-        assert row in self._kept(base, dirv, ws, skip)
-        self._assert_same(_scan_minimum(base, dirv, ws, skip), dense_scan_minimum(base, dirv, ws, skip))
-
-    @pytest.mark.parametrize("bad", [complex(math.inf, 0.0), complex(math.nan, 1.0)])
-    def test_nonfinite_weight_in_live_column(self, bad):
-        base, dirv, ws, skip = self._curve_inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
-        ws[100] = bad
-        self._assert_same(_scan_minimum(base, dirv, ws, skip), dense_scan_minimum(base, dirv, ws, skip))
-
-    def test_cluster_of_skipped_columns_and_single_live_column(self, rng):
-        base, dirv, ws, skip = self._curve_inputs(PolynomialTheta((1.0, 0.4, 0.1)), "t2", GridSpec())
-        skip[40:140] = True  # more than three clusters' worth of directions
-        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
-        for live in (0, 77, len(ws) - 1):
-            only = np.ones(len(ws), dtype=bool)
-            only[live] = False
-            assert _scan_minimum(base, dirv, ws, only) == dense_scan_minimum(base, dirv, ws, only)
-
-    # One direction is left out: numpy computes a one-element complex
-    # product without the fused multiply-add of its vector loop, so a
-    # one-row block then differs from the dense matrix in the last bit.
-    @pytest.mark.parametrize("n_dirs", [2, 3, 7, 100, 1000])
-    def test_direction_counts_not_multiple_of_cluster(self, rng, n_dirs):
-        base, dirv, ws, skip = self._arrays(rng, 2000, n_dirs)
-        assert _scan_minimum(base, dirv, ws, skip) == dense_scan_minimum(base, dirv, ws, skip)
-        # five live directions: one cluster, shorter than the cluster length
-        few = np.ones(n_dirs, dtype=bool)
-        few[rng.permutation(n_dirs)[:5]] = False
-        assert _scan_minimum(base, dirv, ws, few) == dense_scan_minimum(base, dirv, ws, few)
-
-    def test_member_check_scans_few_rows(self, monkeypatch):
-        # the 12 x 256 disc samples of a member, the input the bound pass was
-        # written for; on the 256 points of |z| = r_max alone, where |F| of
-        # this near-constant f barely moves, it keeps 20-38 % of them
-        fractions = []
-
-        def counting(base, *args):
-            kept = _kept_rows(base, *args)
-            fractions.append(len(kept) / len(base))
-            return kept
-
-        monkeypatch.setattr(membership, "_kept_rows", counting)
-        grid = GridSpec()
-        for theta in (JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))):
-            for which in ("t1", "t2"):
-                base, dirv, ws, skip = self._curve_inputs(theta, which, grid, (0.05, 0.02))
-                assert _scan_minimum(base, dirv, ws, skip)[0] >= grid.min_modulus
-        assert len(fractions) == 4 and max(fractions) < 0.1
-
-    @pytest.mark.parametrize("which", ["t1", "t2"])
-    @pytest.mark.parametrize(
-        "theta", [JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
-    )
-    @pytest.mark.parametrize("tail,verdict", [([0.05, 0.02], "member"), ([0.0, 40.0], "non-member")])
-    def test_reports_match_dense_scan(self, monkeypatch, which, theta, tail, verdict):
-        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
-        f = SigmaSeries(1.0, tail)
-        grid = GridSpec()  # 3,072 samples x 512 directions: 24 blocks
-        streamed = check_convolution(f, spec, grid, which)
-        assert streamed.verdict == verdict
-        monkeypatch.setattr(membership, "_scan_minimum", dense_scan_minimum)
-        assert check_convolution(f, spec, grid, which) == streamed
-
-    def test_memory_bounded_on_big_grid(self):
-        spec = _spec(0.0, 0.0, -1.0, params=BMLParams(1.2, 0.8, 2.0, 1.0))
-        f = extremal_function(0.5, 0.0, 64)
-        grid = GridSpec(angles=1024, boundary_x=1024)  # 12,288 x 1,024 pairs
-        tracemalloc.start()
-        try:
-            rep = check_convolution(f, spec, grid)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.is_member
-        assert peak < 16 * 2**20  # the dense matrix alone was 192 MiB
 
 
 class TestAlexanderRoute:
@@ -1389,16 +1213,16 @@ def test_newton_locates_the_zeros_of_univalent_polynomial_nonmembers(
 
 def _grid_reference(f, spec, grid, which):
     """The convolution verdict decided over the whole polar grid of `grid`."""
-    s_base, s_dir = membership._scan_series(f, spec, which)
+    s_base, s_dir = membership._convolution_series(f, spec, which)
 
     def values(zs):
         return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
 
     return grid_convolution_reference(
-        grid.z_points(), grid.x_points(), len(grid.radii), values,
+        grid.z_points(), _directions(512), len(grid.radii), values,
         lambda xs: membership._direction_weights(spec, xs, which),
-        lambda zs: membership._inside_indicator(spec, *values(zs), which),
-        lambda zs: membership._nearest_circle_direction(spec, *values(zs), which),
+        lambda zs: membership._inside_indicator(membership._annulling_points(spec, *values(zs), which)[0]),
+        lambda zs: membership._circle_direction(membership._annulling_points(spec, *values(zs), which)[1]),
         grid.r_max, grid.min_modulus,
     )
 
@@ -1438,3 +1262,82 @@ def test_direct_circle_decision_matches_grid_reference(univalent_polynomial_clas
                 if verdict == "member":
                     assert rep.margin >= margin * (1.0 - 1e-12)
                 _assert_direct_witness(g, spec_g, grid, rep)
+
+
+def _oracle_members(seed, count, order=64):
+    """`count` members (spec, f): Janowski disc and half-plane targets and
+    univalent polynomial targets of degrees 2-5 in turn, both kinds,
+    rebuilt from Schwarz functions whose coefficient moduli sum to a
+    radius drawn up to 0.98."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        kind, target = ("spirallike", "convex")[i % 2], (i // 2) % 3
+        if target == 0:
+            B = rng.uniform(-0.9, 0.7)
+            theta = JanowskiTheta(rng.uniform(B + 0.1, 1.0), B)
+        elif target == 1:
+            theta = JanowskiTheta(rng.uniform(-0.9, 1.0), -1.0)
+        else:
+            theta = PolynomialTheta(_univalent_polynomial(rng, 2 + (i // 6) % 4))
+        params = BMLParams(
+            rng.uniform(0.8, 1.5), rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+        )
+        spec = ClassSpec(rng.uniform(-1.2, 1.2), theta, kind, params)
+        weights = rng.uniform(0.2, 1.0, size=2)
+        omega = rng.uniform(0.1, 0.98) * weights / weights.sum()
+        omega = omega * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+        omega = SchwarzSpec(((0.0,) if kind == "convex" else ()) + tuple(omega))
+        out.append((spec, reconstruct_f(spec, omega, build_kernel(params, order), order, kind)))
+    return out
+
+
+def _dense_torus_minimum(f, spec, grid, which, n_dirs=4096):
+    """The smallest |F| of a dense scan of the grid.angles circle samples
+    times `n_dirs` directions, lowered by `_polish_minimum` from its argmin."""
+    s_base, s_dir = membership._convolution_series(f, spec, which)
+    zs, xs = grid.circle_points(), _directions(n_dirs)
+    ws, skip = membership._direction_weights(spec, xs, which)
+    value, i, j = dense_scan_minimum(evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs), ws, skip)
+    table = membership._jet_table((s_base, s_dir), 2)
+    return min(value, membership._polish_minimum(table, spec, which, zs[i], xs[j], grid.r_max)[0])
+
+
+def test_member_margins_at_most_the_dense_torus_minimum():
+    """No member margin lies above the 256 x 4096 dense scan and its polish
+    by more than rounding, over at least 200 member checks.  (At this seed
+    zero or one step of the direction Newton leaves a margin above it.)"""
+    grid = GridSpec()
+    members, above = 0, []
+    for k, (spec, f) in enumerate(_oracle_members(3, 104)):
+        for which in ("t1", "t2"):
+            rep = check_convolution(f, spec, grid, which)
+            if rep.is_member:
+                members += 1
+                dense = _dense_torus_minimum(f, spec, grid, which)
+                if rep.margin > dense * (1.0 + 1e-10):
+                    above.append((k, which, rep.margin, dense))
+    assert members >= 200 and above == []
+
+
+def test_methods_agree_on_oracle_members_and_their_nonmembers():
+    """Direct, t1, t2 and (convex) Alexander verdicts agree on a subset of
+    the oracle family and on the non-members built from it."""
+    grid = GridSpec()
+    checks = {
+        "direct": check_direct,
+        "t1": lambda f, s, g: check_convolution(f, s, g, "t1"),
+        "t2": lambda f, s, g: check_convolution(f, s, g, "t2"),
+        "alexander": check_alexander,
+    }
+    nonmember_grid = GridSpec(angles=64)
+    disagreements = []
+    for k, (spec, f) in enumerate(_oracle_members(3, 104)[::8]):
+        nonmember = construct_nonmember(f, spec, nonmember_grid)
+        for g, label in ((f, "member"), (nonmember, "non-member")):
+            for name, check in checks.items():
+                if name == "alexander" and spec.kind != "convex":
+                    continue
+                if (verdict := check(g, spec, grid).verdict) != label:
+                    disagreements.append((k, label, name, verdict))
+    assert disagreements == []
