@@ -1029,6 +1029,123 @@ class TestSecantZeros:
         assert np.all(np.abs(got - ref) <= 1e-12)
 
 
+class TestDirectionMinima:
+    """The per-sample Newton in the direction angle that replaced the
+    sampled directions of the member path, on the circle values of real
+    checks: each |F| is one F takes, no sample ends above its start, and
+    the smallest is at most a dense scan of 4096 directions."""
+
+    THETAS = [JanowskiTheta(0.5, -0.3), JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
+    THETA_IDS = ["disc", "half-plane", "polynomial"]
+
+    @staticmethod
+    def _inputs(theta, which, grid, lam=0.1, tail=(0.05, 0.02)):
+        """(spec, f, base, dirv, x): the circle values of a check and the
+        annulling directions its member path starts from."""
+        spec = ClassSpec(lam, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = SigmaSeries(1.0, list(tail))
+        s_base, s_dir = membership._convolution_series(f, spec, which)
+        zs = grid.circle_points()
+        base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+        x = membership._circle_direction(membership._annulling_points(spec, base, dirv, which)[1])
+        return spec, f, base, dirv, x
+
+    @staticmethod
+    def _modulus(spec, which, base, dirv, t):
+        ws, skip = membership._direction_weights(spec, np.exp(1j * t), which)
+        return np.where(skip, np.inf, np.abs(base + ws * dirv))
+
+    @staticmethod
+    def _dense_minima(spec, which, base, dirv, n_dirs=4096, rows=128):
+        """Per sample, the least |F| over `n_dirs` directions, `rows` samples at a time."""
+        ws, skip = membership._direction_weights(spec, _directions(n_dirs), which)
+        out = np.empty(len(base))
+        for k in range(0, len(base), rows):
+            vals = np.abs(base[k : k + rows, None] + dirv[k : k + rows, None] * ws[None, :])
+            vals[:, skip] = np.inf
+            out[k : k + rows] = vals.min(axis=1)
+        return out
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize("theta", THETAS, ids=THETA_IDS)
+    @pytest.mark.parametrize(
+        "grid", [GridSpec(), GridSpec(angles=1024, boundary_x=1024)], ids=["default", "1024x1024"]
+    )
+    @pytest.mark.parametrize("lam", [0.1, -0.8])
+    def test_real_weight_curves_at_most_dense(self, which, theta, grid, lam):
+        spec, f, base, dirv, x = self._inputs(theta, which, grid, lam)
+        t, size, starts = membership._direction_minima(spec, which, base, dirv, x)
+        assert starts == 0 and np.all(np.isfinite(size))
+        got = self._modulus(spec, which, base, dirv, t)
+        assert np.all(np.abs(got - size) <= 1e-12 * size)
+        assert np.all(size <= self._modulus(spec, which, base, dirv, np.angle(x)))
+        dense = self._dense_minima(spec, which, base, dirv)
+        assert size.min() <= dense.min() * (1.0 + 1e-10)
+        rep = check_convolution(f, spec, grid, which)
+        assert rep.is_member and rep.margin <= size.min()
+
+    @pytest.mark.parametrize(
+        "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, math.nan)]
+    )
+    @pytest.mark.parametrize("where", ["base", "dirv"])
+    def test_nonfinite_sample_stays_nonfinite_and_alone(self, bad, where):
+        spec, _, base, dirv, x = self._inputs(JanowskiTheta(0.5, -0.3), "t1", GridSpec())
+        clean_t, clean = membership._direction_minima(spec, "t1", base, dirv, x)[:2]
+        row = 100
+        {"base": base, "dirv": dirv}[where][row] = bad
+        t, size, _ = membership._direction_minima(spec, "t1", base, dirv, x)
+        assert not np.isfinite(size[row])
+        others = np.arange(len(size)) != row
+        assert np.array_equal(size[others], clean[others]) and np.array_equal(t[others], clean_t[others])
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize(
+        "theta",
+        THETAS[:2] + [PolynomialTheta((1.0, 0.4, 0.1)), PolynomialTheta((1.0, 0.6, 0.05, -0.03j, 0.01, 0.005))],
+        ids=["disc", "half-plane", "degree-2", "degree-5"],
+    )
+    def test_undefined_starts_begin_at_a_live_direction(self, which, theta):
+        spec, _, base, dirv, x = self._inputs(theta, which, GridSpec())
+        clean_t, clean = membership._direction_minima(spec, which, base, dirv, x)[:2]
+        x = x.copy()
+        x[::7] = np.nan
+        t, size, starts = membership._direction_minima(spec, which, base, dirv, x)
+        assert starts == len(x[::7])
+        assert not membership._direction_weights(spec, np.exp(1j * t), which)[1].any()
+        assert np.all(np.isfinite(size))
+        assert np.all(np.abs(self._modulus(spec, which, base, dirv, t) - size) <= 1e-12 * size)
+        kept = np.arange(len(x)) % 7 != 0
+        assert np.array_equal(size[kept], clean[kept]) and np.array_equal(t[kept], clean_t[kept])
+
+    @pytest.mark.parametrize("boundary_x", [8, 9, 100, 1000, 4096])
+    def test_boundary_x_changes_no_result(self, boundary_x):
+        grid = GridSpec()
+        other = replace(grid, boundary_x=boundary_x)
+        for theta in (JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))):
+            spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+            for tail in ([0.05, 0.02], [0.0, 40.0]):
+                f = SigmaSeries(1.0, tail)
+                for which in ("t1", "t2"):
+                    assert check_convolution(f, spec, other, which) == check_convolution(f, spec, grid, which)
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.4, 0.1))]
+    )
+    @pytest.mark.parametrize("tail,verdict", [([0.05, 0.02], "member"), ([0.0, 40.0], "non-member")])
+    def test_reports_match_dense_oracle(self, which, theta, tail, verdict):
+        spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
+        f = SigmaSeries(1.0, tail)
+        grid = GridSpec()
+        rep = check_convolution(f, spec, grid, which)
+        assert rep.verdict == verdict
+        if verdict == "member":
+            assert rep.margin <= _dense_torus_minimum(f, spec, grid, which) * (1.0 + 1e-10)
+        else:
+            assert abs(rep.witness_z) <= grid.r_max * (1.0 + 1e-15)
+            assert abs(convolution_value(f, spec, rep.witness_z, rep.witness_x, which)) < grid.min_modulus
+
+
 class TestAlexanderRoute:
     def test_requires_convex(self, fast_grid):
         with pytest.raises(ValueError):
