@@ -9,6 +9,7 @@ samples of a `circle` by one FFT, and anywhere else by Horner's rule.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -76,21 +77,18 @@ def hadamard_identity(order: int) -> SigmaSeries:
 
 
 def evaluate(f: SigmaSeries, z: complex) -> complex:
-    """Value of f at z != 0, tail accumulated with Kahan compensation."""
+    """Value of f at z != 0: the terms principal/z and c_n z^(n-1), powers
+    by repeated multiplication, with their real and imaginary parts each
+    summed by `math.fsum` (the sum of the rounded terms, rounded once)."""
     z = complex(z)
     if z == 0:
         raise PoleError("series has a pole at z = 0")
-    total = f.principal / z
-    comp = 0.0 + 0.0j
+    terms = [f.principal / z]
     zp = 1.0 + 0.0j
-    for c in f.tail:
-        term = c * zp
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
+    for c in f.tail.tolist():
+        terms.append(c * zp)
         zp *= z
-    return total
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))
 
 
 @lru_cache(maxsize=16)

@@ -221,10 +221,11 @@ def _disc_parameters(spec: ClassSpec):
     return center, math.cos(spec.lam) * r_theta
 
 
-def _theta_need(spec: ClassSpec, e: np.ndarray) -> np.ndarray:
-    """Target value Theta at which the direction value E(x) = -Phi(x) equals e."""
+def _theta_need(spec: ClassSpec, d: np.ndarray) -> np.ndarray:
+    """Theta - 1 = e^{i lam} d / cos(lam) where E(x) = -Phi(x) equals 1 + d:
+    0 exactly at d = 0 (E(0) = 1), so that preimage is x = 0, not rounding."""
     with np.errstate(invalid="ignore", over="ignore"):
-        return (cmath.exp(1j * spec.lam) * e - 1j * math.sin(spec.lam)) / math.cos(spec.lam)
+        return cmath.exp(1j * spec.lam) * d / math.cos(spec.lam)
 
 
 @lru_cache(maxsize=16)
@@ -258,35 +259,37 @@ def _require_univalent(theta: ThetaSpec):
                 )
 
 
-def _preimage_roots(theta: PolynomialTheta, t_need) -> np.ndarray:
-    """All M roots of Theta(x) = t for each t of a batch, shape (n, M).
+def _preimage_roots(theta: PolynomialTheta, u) -> np.ndarray:
+    """All M roots of Theta(x) = 1 + u for each offset u of a batch, shape (n, M).
 
     The degree picks the solver: closed forms for M <= 3 (see
     `_closed_form_roots`), otherwise one eigenvalue solve over the stack
-    of companion matrices of Theta(x) - t, which differ only in the last
-    entry of their first row.  Rows whose t is non-finite, or makes that
-    entry or its modulus overflow, are inf.
+    of companion matrices of Theta(x) - 1 - u (t_0 = 1), which differ only
+    in the last entry of their first row.  Rows whose u is non-finite, or
+    makes that entry or its modulus overflow, are inf.
     """
     co = _trimmed_coefficients(theta)
-    t = np.asarray(t_need, dtype=complex).ravel()
+    u = np.asarray(u, dtype=complex).ravel()
     m = len(co) - 1
     if m == 0:
-        return np.empty((len(t), 0), dtype=complex)
+        return np.empty((len(u), 0), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
-        last = -(co[0] - t) / co[-1]
+        last = u / co[-1]
         finite = np.isfinite(np.abs(last))
+    origin = np.flatnonzero(finite & (last == 0.0))  # u = 0: x = 0 is a root, exactly
     last = np.where(finite, last, 0.0)
     if m == 1:
         roots = last[:, None]
     elif m <= 3:
         roots = _closed_form_roots(co[-2:0:-1] / co[-1], -last)
     else:
-        comp = np.zeros((len(t), m, m), dtype=complex)
+        comp = np.zeros((len(u), m, m), dtype=complex)
         comp[:, 0, :-1] = -co[-2:0:-1] / co[-1]
         comp[:, 0, -1] = last
         comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         roots = np.linalg.eigvals(comp)
     roots[~finite] = np.inf
+    roots[origin, np.argmin(np.abs(roots[origin]), axis=1)] = 0.0
     return roots
 
 
@@ -359,7 +362,7 @@ def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
     co = _trimmed_coefficients(spec.theta)
     if len(co) == 1:  # constant target: the region is the single point -1
         return -np.abs(ws + 1.0)
-    x = _nearest_root(_preimage_roots(spec.theta, _theta_need(spec, -ws.ravel())), 0.0)
+    x = _nearest_root(_preimage_roots(spec.theta, _theta_need(spec, -(ws.ravel() + 1.0))), 0.0)
     finite = np.isfinite(x)
     x = np.where(finite, x, 0.0)
     slope = np.abs(np.polyval(np.polyder(co[::-1]), x))
@@ -518,13 +521,20 @@ def _require_on_circle(x: complex):
         raise ValueError(f"direction point must sit on the unit circle, got {x!r}")
 
 
+def _weight_at(spec: ClassSpec, x: complex, which: str) -> complex:
+    """`_direction_weights` at one direction |x| = 1; `DegenerateDirectionError`
+    where it is degenerate (E(x) = 1, or a pole of Theta)."""
+    _require_which(which)
+    _require_on_circle(x)
+    w, skip = _direction_weights(spec, np.array([complex(x)]), which)
+    if skip[0]:
+        raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
+    return complex(w[0])
+
+
 def epsilon_t1(x: complex, spec: ClassSpec) -> complex:
     """Direction coefficient (2 - E)/(1 - E) with E(x) = -Phi(x), |x| = 1."""
-    _require_on_circle(x)
-    e = -target_value(spec, x)
-    if abs(1.0 - e) < _DEGENERATE_TOL:
-        raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-    return (2.0 - e) / (1.0 - e)
+    return -_weight_at(spec, x, "t1")
 
 
 def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaSeries:
@@ -535,16 +545,12 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
     operator weights folded in), so hadamard(f, kernel) reproduces
     z G'(z) + E G(z) coefficientwise.
     """
-    _require_which(which)
     n = np.arange(1, order + 1)
+    w = _weight_at(spec, x, which)
     if which == "t1":
-        eps = epsilon_t1(x, spec)
-        return SigmaSeries(1.0, (n + 1) - eps * n)
-    e = -target_value(spec, x)
-    if abs(1.0 - e) < _DEGENERATE_TOL:
-        raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
+        return SigmaSeries(1.0, (n + 1) + w * n)
     h = _cached_kernel(spec.params, order).h
-    return SigmaSeries(e - 1.0, (n - 1 + e) * h)
+    return SigmaSeries(w - 1.0, (n - 1 + w) * h)
 
 
 @lru_cache(maxsize=16)
@@ -663,17 +669,18 @@ def _polish_minimum(table, spec, which, z0, x0, radius):
 def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
     """Per sample, points x (not restricted to the circle) whose direction
     annuls the convolution value: E(x) = e, with e the annulling value
-    (2 dir - base)/(dir - base) for t1 and -base/dir for t2.  Returns
+    (2 dir - base)/(dir - base) for t1 and -base/dir for t2, carried as the
+    offset e - 1 = dir/(dir - base) or -(base + dir)/dir.  Returns
     (inner, outer): a Möbius target has one such x, which is both; for a
     polynomial target, one `_preimage_roots` solve gives the root nearest
     the origin and the root whose modulus is nearest 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        e = (2.0 * dirv - base) / (dirv - base) if which == "t1" else -base / dirv
-        t = _theta_need(spec, e)
+        d = dirv / (dirv - base) if which == "t1" else -(base + dirv) / dirv
+        u = _theta_need(spec, d)
         if isinstance(spec.theta, JanowskiTheta):
-            x = (t - 1.0) / (spec.theta.A - spec.theta.B * t)
+            x = u / (spec.theta.A - spec.theta.B - spec.theta.B * u)
             return x, x
-    roots = _preimage_roots(spec.theta, t)
+    roots = _preimage_roots(spec.theta, u)
     return _nearest_root(roots, 0.0), _nearest_root(roots, 1.0)
 
 
@@ -762,7 +769,9 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
     x_k, the circle direction nearest to annulling F at z_k), else by the
     secant on the inside indicator over [0, z_k]; `InconclusiveError` when
-    neither gets |F| below grid.min_modulus."""
+    neither gets |F| below grid.min_modulus.  Of the zeros at the rounding
+    floor |F| <= 4 eps (|B| + |W D|) the first in `ends` is kept, so rounding
+    does not move the witness; with none there, the least |F|."""
     u = ends / np.abs(ends)
 
     def jet(rho, t):
@@ -784,12 +793,13 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
         )
         z = z[np.isfinite(z) & (z != 0)]
         x = _circle_direction(_annulling_points(spec, *_eval_series(table, z, 2), which)[1])
-    w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
-    bz, dz = _eval_series(table, z, 2)
-    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(bz + w * dz))
-    if not np.any(vals < grid.min_modulus):
+    f, _, _, scale, skip = _torus_jet(table, spec, which, z, np.where(np.isfinite(x), x, 1.0))
+    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(f))
+    located = vals < grid.min_modulus
+    if not located.any():
         raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
-    k = int(np.argmin(vals))
+    floor = located & (vals <= 4 * np.finfo(float).eps * scale)
+    k = int(np.argmax(floor) if floor.any() else np.argmin(vals))
     return float(vals[k]), complex(z[k]), complex(x[k])
 
 
@@ -857,16 +867,11 @@ def check_convolution(
 
 def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, which: str):
     """Convolution value at one (z, x) pair with |x| = 1, for report re-evaluation."""
-    _require_which(which)
-    _require_on_circle(x)
+    w = _weight_at(spec, x, which)
     if z == 0:
         raise PoleError("the convolution has a pole at z = 0")
-    s_base, s_dir = _convolution_series(f, spec, which)
-    ws, skip = _direction_weights(spec, np.array([complex(x)]), which)
-    if skip[0]:
-        raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-    bv, dv = _eval_series(_jet_table((s_base, s_dir), 0), np.array([complex(z)]))
-    return complex((bv + ws * dv)[0])
+    bv, dv = _eval_series(_jet_table(_convolution_series(f, spec, which), 0), np.array([complex(z)]))
+    return complex(bv[0] + w * dv[0])
 
 
 # ---------------------------------------------------------------------------

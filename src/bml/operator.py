@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .laurent import SigmaSeries, hadamard
-from .special_fn import BMLParams, GAMMA_MAX_ARG, gamma_pos
+from .special_fn import BMLParams, GAMMA_MAX_ARG, term_denominator
 
 
 @dataclass(frozen=True)
@@ -39,16 +39,13 @@ class OperatorKernel:
 def coefficient_h(n: int, params: BMLParams) -> float:
     """Weight of the n-th tail coefficient.
 
-    h_n = a^s Gamma(theta) / (Gamma(K (n-1) + theta) (n - 1 + a)^s),
-    strictly positive, with h_1 = 1 exactly.
+    h_n = a^s Gamma(theta) / (Gamma(K (n-1) + theta) (n - 1 + a)^s), the
+    ratio d_0 / d_(n-1) of two `term_denominator` values: strictly
+    positive, with h_1 = 1 exactly.
     """
     if n < 1:
         raise ValueError(f"weights are indexed from 1, got {n}")
-    scale = params.a ** params.s * gamma_pos(params.theta)
-    den = gamma_pos(params.K * (n - 1) + params.theta)
-    if params.s != 0.0:
-        den = den * (params.a + (n - 1.0)) ** params.s
-    return scale / den
+    return term_denominator(params, 0) / term_denominator(params, n - 1)
 
 
 def max_kernel_order(params: BMLParams) -> int:
@@ -57,11 +54,11 @@ def max_kernel_order(params: BMLParams) -> int:
 
 
 def build_kernel(params: BMLParams, order: int) -> OperatorKernel:
-    """Kernel with weights h_1..h_order."""
+    """Kernel with weights h_1..h_order, as `coefficient_h` gives them."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
-    h = np.array([coefficient_h(n, params) for n in range(1, order + 1)])
-    return OperatorKernel(params, h)
+    d = np.array([term_denominator(params, n) for n in range(order)])
+    return OperatorKernel(params, d[0] / d)
 
 
 def apply_operator(f: SigmaSeries, kernel: OperatorKernel) -> SigmaSeries:

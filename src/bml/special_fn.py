@@ -1,9 +1,10 @@
 """Gamma on the positive reals and the Mittag-Leffler series family.
 
-Series are summed forward in n with compensated (Kahan) accumulation.
-Truncation is controlled by a geometric tail bound: once consecutive
-terms decay by at least a factor of two, the whole omitted tail is
-bounded by the last term kept.
+Gamma is the standard library's `math.gamma`.  Series are summed forward
+in n, the real and imaginary parts of the terms each by `math.fsum`, so
+the sum of the rounded terms is rounded once.  Truncation is controlled
+by a geometric tail bound: once consecutive terms decay by at least a
+factor of two, the whole omitted tail is bounded by the last term kept.
 """
 
 from __future__ import annotations
@@ -13,21 +14,6 @@ from dataclasses import dataclass
 
 # Gamma(171.62...) overflows a 64-bit float; stay a little below.
 GAMMA_MAX_ARG = 170.0
-
-# Lanczos rational approximation, g = 7, 9 terms: ~13-15 significant
-# digits on the positive axis in double precision.
-_LANCZOS_G = 7.0
-_LANCZOS_C = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
 
 
 @dataclass(frozen=True)
@@ -55,29 +41,23 @@ class BMLParams:
 
 
 def gamma_pos(x: float) -> float:
-    """Gamma(x) for 0 < x <= 170.
-
-    Lanczos approximation evaluated in log space (the bare power t^(x-1/2)
-    overflows long before Gamma itself does); arguments below 1/2 go
-    through the reflection formula.  Relative error is below 1e-12 on
-    [0.1, 170].
-    """
+    """Gamma(x) for 0 < x <= 170 by `math.gamma` (a few ulp): `ValueError`
+    for x <= 0, `OverflowError` naming x where Gamma(x) leaves the float
+    range (above 170, or x so close to 0 that 1/x does)."""
     x = float(x)
     if not x > 0.0:
         raise ValueError(f"gamma_pos requires x > 0, got {x}")
-    if x > GAMMA_MAX_ARG:
-        raise OverflowError(f"gamma_pos({x}) would overflow the 64-bit float range")
-    if x < 0.5:
-        return math.pi / (math.sin(math.pi * x) * gamma_pos(1.0 - x))
-    acc = _LANCZOS_C[0]
-    for i in range(1, len(_LANCZOS_C)):
-        acc += _LANCZOS_C[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return math.sqrt(2.0 * math.pi) * acc * math.exp((x - 0.5) * math.log(t) - t)
+    try:
+        if x <= GAMMA_MAX_ARG:
+            return math.gamma(x)
+    except OverflowError:
+        pass
+    raise OverflowError(f"gamma_pos({x}) would overflow the 64-bit float range")
 
 
-def _term_denominator(params: BMLParams, n: int) -> float:
-    """Denominator Gamma(K n + theta) (n + a)^s of the n-th series term."""
+def term_denominator(params: BMLParams, n: int) -> float:
+    """Denominator d_n = Gamma(K n + theta) (n + a)^s of the n-th series
+    term; the operator weights are h_n = d_0 / d_(n-1)."""
     d = gamma_pos(params.K * n + params.theta)
     if params.s != 0.0:
         d *= (n + params.a) ** params.s
@@ -99,62 +79,45 @@ def truncation_order(params: BMLParams, radius: float, tol: float) -> int:
     if not radius > 0.0:
         raise ValueError(f"radius must be positive, got {radius}")
 
-    def out_of_range():
-        return OverflowError(
-            "tail certification needs Gamma or radius^n beyond the float range "
-            f"(K={params.K}, theta={params.theta}, radius={radius}, tol={tol})"
-        )
-
-    t_next = radius / _term_denominator(params, 1)
+    t_n = radius / term_denominator(params, 1)
     n = 1
     while True:
-        t_n = t_next
-        if params.K * (n + 1) + params.theta > GAMMA_MAX_ARG:
+        try:
+            t_next = radius ** (n + 1) / term_denominator(params, n + 1)
+        except OverflowError:  # Gamma or radius^n left the float range
             if t_n == 0.0:
                 return n
-            raise out_of_range()
-        try:
-            power = radius ** (n + 1)
-        except OverflowError:
-            # radius^n left the float range before the tail was certified
-            raise out_of_range() from None
-        t_next = power / _term_denominator(params, n + 1)
+            raise OverflowError(
+                "tail certification needs Gamma or radius^n beyond the float range "
+                f"(K={params.K}, theta={params.theta}, radius={radius}, tol={tol})"
+            ) from None
         if t_n < tol and t_next <= 0.5 * t_n:
             return n
-        n += 1
-
-
-def _series_sum(params: BMLParams, z: complex, tol: float = 1e-14) -> complex:
-    """Partial sum of z^n / (Gamma(K n + theta) (n + a)^s), n = 0..N."""
-    z = complex(z)
-    order = truncation_order(params, max(abs(z), 1e-30), tol)
-    total = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
-    zp = 1.0 + 0.0j
-    for n in range(order + 1):
-        term = zp / _term_denominator(params, n)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        zp *= z
-    return total
+        t_n, n = t_next, n + 1
 
 
 def mittag_leffler_2p(K: float, theta: float, z: complex) -> complex:
     """Two-parameter Mittag-Leffler value: sum of z^n / Gamma(K n + theta).
 
-    The one-parameter function is the theta = 1 case.  Absolute error is
-    below 1e-12 for |z| <= 4 and order parameters that keep the terms
-    inside the float range.
+    The one-parameter function is the theta = 1 case; the error contract
+    is `barnes_ml`'s.
     """
-    return _series_sum(BMLParams(K, theta, 1.0, 0.0), z)
+    return barnes_ml(BMLParams(K, theta, 1.0, 0.0), z)
 
 
 def barnes_ml(params: BMLParams, z: complex) -> complex:
     """Four-parameter value: sum of z^n / (Gamma(K n + theta) (n + a)^s).
 
     Reduces to ``mittag_leffler_2p`` when s = 0.  Absolute error below
-    1e-12 for |z| <= 4.
+    1e-12 for |z| <= 4 and K >= 1.  Each term is rounded once, and so is
+    their sum (`math.fsum`), so the error is about eps times the largest
+    term.  For K < 1 (or larger |z|) the terms grow far above the
+    sum: 2.3e-9 at K = 0.5, theta = 0.3, z = -2.83 - 2.83i.
     """
-    return _series_sum(params, z)
+    z = complex(z)
+    terms = []
+    zp = 1.0 + 0.0j
+    for n in range(truncation_order(params, max(abs(z), 1e-30), 1e-14) + 1):
+        terms.append(zp / term_denominator(params, n))
+        zp *= z
+    return complex(math.fsum(t.real for t in terms), math.fsum(t.imag for t in terms))

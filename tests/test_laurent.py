@@ -51,6 +51,10 @@ class TestEvaluate:
         with pytest.raises(PoleError):
             evaluate(SigmaSeries(1.0, [1.0]), 0.0)
 
+    def test_cancelling_terms_sum_exactly(self):
+        # a running sum, compensated or not, loses both 1s under 1e100
+        assert evaluate(SigmaSeries(0.0, [1.0, 1e100, 1.0, -1e100]), 1.0) == 2.0
+
     def test_linearity(self, rng):
         for _ in range(20):
             f = SigmaSeries(1.0, rng.uniform(-1, 1, 6) + 1j * rng.uniform(-1, 1, 6))
@@ -93,7 +97,7 @@ class TestEvaluateGridOnCircles:
         [(10, 16, 0.9), (16, 16, 0.99), (256, 256, 0.99), (1024, 16, 0.99), (1024, 256, 0.99),
          (1024, 256, 1.0), (1024, 256, 1e-3), (40, 64, 0.5)],
     )
-    def test_matches_kahan_evaluate(self, rng, monkeypatch, order, samples, r):
+    def test_matches_pointwise_evaluate(self, rng, monkeypatch, order, samples, r):
         # N < n, N = n and N >> n fold differently; at r = 1e-3, r^m underflows
         f = self._decaying(rng, order)
         calls = _ifft_calls(monkeypatch)

@@ -202,7 +202,7 @@ class TestPreimage:
                 tail = 0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
                 coefficients = (1.0,) + tuple(tail)
                 t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-                roots = _preimage_roots(PolynomialTheta(coefficients), t)
+                roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
                 assert roots.shape == (40, degree)
                 reference = preimage_roots_reference(coefficients, t)
                 for got, ref in zip(roots, reference):
@@ -211,31 +211,31 @@ class TestPreimage:
     def test_trailing_zero_lowers_degree(self, rng):
         coefficients = (1.0, 0.4, 0.0)
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
         assert roots.shape == (20, 1)
         for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
             assert _same_roots(got, ref, 1e-10)
 
     def test_t0_gives_root_at_origin(self):
         for coefficients in _CLOSED_FORM_TARGETS:
-            roots = _preimage_roots(PolynomialTheta(coefficients), [1.0])
+            roots = _preimage_roots(PolynomialTheta(coefficients), [0.0])
             (ref,) = preimage_roots_reference(coefficients, [1.0])
             assert _same_roots(roots[0], ref, 1e-10)
-            assert np.min(np.abs(roots[0])) <= 1e-10
+            assert np.min(np.abs(roots[0])) == 0.0
 
     def test_nonfinite_t_rows_are_inf(self):
         t = np.array([0.5, np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf), 2.0j])
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
-            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             assert roots.shape == (5, len(coefficients) - 1)
             assert np.all(np.isinf(roots[1:4]))
             assert np.all(np.isfinite(roots[[0, 4]]))
 
     def test_overflowing_modulus_rows_are_inf(self):
-        # each part of the constant term -(1 - t)/t_M is finite, its modulus is not
+        # each part of the constant term (t - 1)/t_M is finite, its modulus is not
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
             t = np.array([-coefficients[-1] * 1.5e308 * (1.0 + 1.0j), 0.5])
-            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             assert np.all(np.isinf(roots[0])) and np.all(np.isfinite(roots[1]))
 
     # degrees 1-3 are solved in closed form, degree 4 by companion eigenvalues
@@ -245,7 +245,7 @@ class TestPreimage:
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
         for scale in (1e100, 1e300):
             t = scale * np.exp(2j * np.pi * rng.uniform(size=8))
-            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             assert np.all(np.isfinite(roots))
             for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
                 assert _same_roots(got, ref, 1e-10, relative=True)
@@ -259,7 +259,7 @@ class TestPreimage:
             for _ in range(200):
                 coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
                 t = 2.0 * (rng.normal(size=50) + 1j * rng.normal(size=50))
-                x = _preimage_roots(PolynomialTheta(coefficients), t)
+                x = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
                 poly = np.array(coefficients[::-1])
                 scale = np.polyval(np.abs(poly), np.abs(x)) + np.abs(t)[:, None]
                 worst = max(worst, np.max(np.abs(np.polyval(poly, x) - t[:, None]) / scale))
@@ -268,7 +268,7 @@ class TestPreimage:
     def test_tiny_leading_coefficient(self, rng):
         coefficients = (1.0, 0.4, 1e-12)  # one root near -2.5, one near -4e11
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
         for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
             assert _same_roots(got, ref, 1e-10, relative=True)
 
@@ -279,14 +279,14 @@ class TestPreimage:
         poly = np.array(coefficients[::-1], dtype=complex)
         for zeta in np.roots(np.polyder(poly)):
             t = np.polyval(poly, zeta) + 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
-            roots = _preimage_roots(PolynomialTheta(coefficients), t)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
                 assert _same_roots(got, ref, 1e-8, relative=True)
 
     def test_degree_four_is_the_companion_eigenvalue_solve(self, rng):
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4)))
         t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-        roots = _preimage_roots(PolynomialTheta(coefficients), t)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
         for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
             assert np.array_equal(got, ref)  # same matrices, same LAPACK call
 
@@ -499,6 +499,19 @@ class TestEpsilon:
         with pytest.raises(DegenerateDirectionError):
             kernel_series(-1.0, spec, 8, "t2")
 
+    def test_pole_of_the_target_is_a_degenerate_direction(self):
+        # the half-plane target's Theta has its pole at x = 1: the same
+        # error as convolution_value, from the one degeneracy rule
+        spec = _spec(0.3, 0.5, -1.0)
+        f = SigmaSeries(1.0, [0.1, 0.05])
+        with pytest.raises(DegenerateDirectionError):
+            epsilon_t1(1.0, spec)
+        for which in ("t1", "t2"):
+            with pytest.raises(DegenerateDirectionError):
+                kernel_series(1.0, spec, 8, which)
+            with pytest.raises(DegenerateDirectionError):
+                convolution_value(f, spec, 0.5, 1.0, which)
+
 
 class TestKernelSeries:
     def test_t1_tail_formula(self, rng):
@@ -561,15 +574,25 @@ class TestKernelSeries:
 
 
 class TestCheckConvolution:
-    @pytest.mark.parametrize("which,value", [("t1", 1.0), ("t2", 0.5)])
-    def test_pole_min_modulus(self, fast_grid, which, value):
-        # f = 1/z: the annulling value is E(0) = 1 at every sample, so (up to
-        # rounding) no sample has an annulling direction on the circle and
-        # its minimum starts from the fixed live direction, not at inf
-        rep = check_convolution(SigmaSeries(1.0, []), _spec(0.0, 0.0, -1.0), fast_grid, which)
+    @pytest.mark.parametrize("lam", [0.0, 0.7])
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.5, -0.3), JanowskiTheta(0.0, -1.0), PolynomialTheta((1.0, 0.5, 0.1))],
+        ids=["disc", "half-plane", "polynomial"],
+    )
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_pole_min_modulus(self, fast_grid, which, theta, lam):
+        # f = 1/z: the annulling value is E(0) = 1 at every sample, carried
+        # as the offset e - 1 = 0 exactly, so no sample has an annulling
+        # direction on the circle and every minimum starts from the fixed
+        # live direction, not at inf.  F = B + W D with D = 0 (t1), or
+        # (E(x) - 1)/z (t2), whose least modulus is at x = -1 here
+        spec = ClassSpec(lam, theta, "spirallike", BMLParams(1.0, 1.0, 1.0, 0.0))
+        rep = check_convolution(SigmaSeries(1.0, []), spec, fast_grid, which)
+        e = -target_value(spec, -1.0)
+        value = 1.0 if which == "t1" else abs(e - 1.0)
         assert rep.is_member
         assert rep.margin == pytest.approx(value / fast_grid.r_max, rel=1e-6)
-        assert 0 < rep.skipped <= fast_grid.angles
+        assert rep.skipped == fast_grid.angles
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
     def test_skipped_counts_samples_without_a_live_annulling_direction(self, fast_grid, which):
@@ -790,6 +813,19 @@ class TestProvenZero:
         assert main(["check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t2"]) == 2
         assert "none was located" in capsys.readouterr().err
         assert len(newtons) == len(secants) == 2
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_witness_stays_under_a_rounding_level_change(self, fast_grid, which):
+        # many zeros are located to the rounding floor, and which of them has
+        # the least |F| is decided by rounding: by that rule K and K (1 + 4 eps)
+        # give witnesses 0.4 (t1) and 1.2 (t2) apart
+        f = SigmaSeries(1.0, [1.0, 1.0j, 1.0])
+        reps = [
+            check_convolution(f, _spec(0.0, 0.5, -0.5, params=BMLParams(k, 1, 1, 0)), fast_grid, which)
+            for k in (1.0, 1.0 + 4 * np.finfo(float).eps)
+        ]
+        assert [r.verdict for r in reps] == ["non-member"] * 2
+        assert abs(reps[0].witness_z - reps[1].witness_z) <= 1e-12
 
 
 # A half-plane class and the first 8 coefficients of a member whose c_1 was

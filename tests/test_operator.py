@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -99,6 +100,20 @@ class TestBuildKernel:
     def test_order_validation(self, unit_params):
         with pytest.raises(ValueError):
             build_kernel(unit_params, 0)
+
+    def test_weights_are_coefficient_h_bit_for_bit(self, rng, unit_params):
+        for params in [unit_params] + [_random_params(rng, k_lo=1.0) for _ in range(10)]:
+            order = min(100, max_kernel_order(params))
+            h = build_kernel(params, order).h
+            assert h[0] == 1.0
+            assert np.array_equal(h, [coefficient_h(n, params) for n in range(1, order + 1)])
+
+    def test_unit_weights_are_inverse_factorials(self, unit_params):
+        # h_n = 1/(n-1)! exactly: Gamma's error at n plus one division
+        h = build_kernel(unit_params, max_kernel_order(unit_params)).h
+        for n, weight in enumerate(h, 1):
+            exact = Fraction(1, math.factorial(n - 1))
+            assert abs(Fraction(weight) - exact) <= Fraction(1e-15) * exact, n
 
     def test_max_order_guard(self):
         params = BMLParams(3.0, 1.0, 1.0, 0.0)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -40,6 +41,16 @@ class TestGamma:
     def test_range_error(self):
         with pytest.raises(OverflowError):
             gamma_pos(171.0)
+
+    def test_integers_are_factorials(self):
+        for n in range(1, 171):
+            exact = math.factorial(n - 1)
+            assert abs(Fraction(gamma_pos(n)) - exact) <= Fraction(1e-15) * exact, n
+
+    def test_tiny_argument_overflows_by_name(self):
+        # Gamma(x) ~ 1/x leaves the float range: an error, not inf
+        with pytest.raises(OverflowError, match=r"gamma_pos\(1e-310\)"):
+            gamma_pos(1e-310)
 
 
 class TestMittagLeffler:
