@@ -47,11 +47,12 @@ from .errors import (
 )
 from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
-from .solvers import newton_angle_minima, newton_minimum, newton_zeros, secant_zeros
+from .solvers import newton_angle_minima, newton_minimum, newton_zero, secant_zeros
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
 _DEGENERATE_TOL = 1e-12
+_FLOOR = 4 * np.finfo(float).eps  # a zero is located once |F| <= _FLOOR times its term scale
 _RECOUNT_SAMPLES = 1 << 14  # most samples of a winding recount
 _RING_SHRINKS = 16  # see `_pole_witness`
 
@@ -91,27 +92,18 @@ ThetaSpec = Union[JanowskiTheta, PolynomialTheta]
 
 
 def theta_grid(theta: ThetaSpec, zs: np.ndarray, derivatives: int = 0):
-    """Vectorized target values, their first `derivatives` derivatives, and
-    the mask of points too close to a pole: (Theta, Theta', ..., bad)."""
+    """Vectorized target values, with `derivatives` = 1 also Theta', and the
+    mask of points too close to a pole: (Theta, [Theta',] bad)."""
     zs = np.asarray(zs, dtype=complex)
     if isinstance(theta, JanowskiTheta):
         den = 1.0 + theta.B * zs
         bad = np.abs(den) < 1e-14
         den = np.where(bad, 1.0, den)
-        # Theta^(k) = k! (A - B) (-B)^(k-1) / den^(k+1) for k >= 1
-        out = [(1.0 + theta.A * zs) / den] + [
-            math.factorial(k) * (theta.A - theta.B) * (-theta.B) ** (k - 1) / den ** (k + 1)
-            for k in range(1, derivatives + 1)
-        ]
-        return (*out, bad)
-    # Horner with derivatives: acc[j] accumulates Theta^(j) / j!
-    acc = [np.zeros_like(zs) for _ in range(derivatives + 1)]
-    for c in theta.coefficients[::-1]:
-        for j in range(derivatives, 0, -1):
-            acc[j] = acc[j] * zs + acc[j - 1]
-        acc[0] = acc[0] * zs + c
-    out = [a * math.factorial(j) if j > 1 else a for j, a in enumerate(acc)]
-    return (*out, np.zeros(zs.shape, dtype=bool))
+        out = [(1.0 + theta.A * zs) / den, (theta.A - theta.B) / den**2]
+        return (*out[: derivatives + 1], bad)
+    co = np.array(theta.coefficients[::-1])
+    out = [np.polyval(co, zs), np.polyval(np.polyder(co), zs)]
+    return (*out[: derivatives + 1], np.zeros(zs.shape, dtype=bool))
 
 
 # ---------------------------------------------------------------------------
@@ -275,9 +267,10 @@ def _preimage_roots(theta: PolynomialTheta, u) -> np.ndarray:
         return np.empty((len(u), 0), dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         last = u / co[-1]
-        finite = np.isfinite(np.abs(last))
-    origin = np.flatnonzero(finite & (last == 0.0))  # u = 0: x = 0 is a root, exactly
-    last = np.where(finite, last, 0.0)
+        nonfinite = np.flatnonzero(~np.isfinite(np.abs(last)))
+    origin = np.flatnonzero(last == 0.0)  # u = 0: x = 0 is a root, exactly
+    if len(nonfinite):
+        last[nonfinite] = 0.0
     if m == 1:
         roots = last[:, None]
     elif m <= 3:
@@ -288,8 +281,10 @@ def _preimage_roots(theta: PolynomialTheta, u) -> np.ndarray:
         comp[:, 0, -1] = last
         comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
         roots = np.linalg.eigvals(comp)
-    roots[~finite] = np.inf
-    roots[origin, np.argmin(np.abs(roots[origin]), axis=1)] = 0.0
+    if len(nonfinite):
+        roots[nonfinite] = np.inf
+    if len(origin):
+        roots[origin, np.argmin(np.abs(roots[origin]), axis=1)] = 0.0
     return roots
 
 
@@ -309,7 +304,7 @@ def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
     fixed = max(abs(a) ** (1.0 / j) for j, a in enumerate(hi, 1))
     s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(c0) ** (1.0 / m), fixed))[1])
     inv = 1.0 / s
-    coef = [np.full_like(c0, a) for a in hi] + [c0]
+    coef = [*hi, c0]
     for j in range(m):  # coefficient k is divided by s^(k+1), exactly
         coef[j:] = [c * inv for c in coef[j:]]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -328,8 +323,8 @@ def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
             u = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
             u = u[:, None] * _CUBE_ROOTS_OF_UNITY
             y = u - np.where(u == 0.0, 0.0, p[:, None] / (3.0 * u)) - a3[:, None]
-        val, der = np.ones_like(y), np.zeros_like(y)
-        for c in coef:
+        val, der = y + coef[0][:, None], 1.0
+        for c in coef[1:]:
             der = der * y + val
             val = val * y + c[:, None]
         step = val / der
@@ -337,12 +332,11 @@ def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
     return y * s[:, None]
 
 
-def _nearest_root(roots: np.ndarray, radius: float) -> np.ndarray:
-    """Per row of `_preimage_roots`, the root whose modulus is nearest `radius` (inf if none)."""
-    if roots.shape[1] == 0:
-        return np.full(len(roots), np.inf, dtype=complex)
-    k = np.argmin(np.abs(np.abs(roots) - radius), axis=1)
-    return roots[np.arange(len(roots)), k]
+def _nearest_roots(roots: np.ndarray, *radii: float) -> list:
+    """Per radius, the root of each row of `_preimage_roots` (of degree at
+    least 1) whose modulus is nearest it."""
+    size, rows = np.abs(roots), np.arange(len(roots))
+    return [roots[rows, np.argmin(np.abs(size - r) if r else size, axis=1)] for r in radii]
 
 
 def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
@@ -362,7 +356,7 @@ def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
     co = _trimmed_coefficients(spec.theta)
     if len(co) == 1:  # constant target: the region is the single point -1
         return -np.abs(ws + 1.0)
-    x = _nearest_root(_preimage_roots(spec.theta, _theta_need(spec, -(ws.ravel() + 1.0))), 0.0)
+    (x,) = _nearest_roots(_preimage_roots(spec.theta, _theta_need(spec, -(ws.ravel() + 1.0))), 0.0)
     finite = np.isfinite(x)
     x = np.where(finite, x, 0.0)
     slope = np.abs(np.polyval(np.polyder(co[::-1]), x))
@@ -565,40 +559,58 @@ def _direction_table(theta: PolynomialTheta, lam: float) -> np.ndarray:
     return table
 
 
-def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
-    """Per-direction weight plus the skip mask of degenerate directions.
+def _ones_where(mask, values):
+    """`values` with 1 where `mask` holds: arrays, or one Python scalar."""
+    if isinstance(values, np.ndarray):
+        return np.where(mask, 1.0, values)
+    return 1.0 if mask else values
 
-    The convolution value is base(z) + W(x) dir(z); for t1 the weight is
-    W = -eps(x) = -1 - 1/(1 - E), for t2 it is W = E(x).  With
-    `derivatives`, W_1 = x dW/dx and W_2 = x d/dx W_1 come between W and
-    the mask.  E and its derivatives are one product of the powers of xs
-    with `_direction_table` for a polynomial target, closed forms for a
-    Möbius one.
-    """
-    xs = np.asarray(xs, dtype=complex)
-    if isinstance(spec.theta, JanowskiTheta):
-        th, *dth, bad = theta_grid(spec.theta, xs, 2 if derivatives else 0)
-        rot = np.exp(-1j * spec.lam)
-        es = [rot * (math.cos(spec.lam) * th + 1j * math.sin(spec.lam))]
-        if derivatives:
-            c = rot * math.cos(spec.lam)
-            es.append(c * xs * dth[0])  # x dE/dx
-            es.append(es[1] + c * xs * xs * dth[1])  # x d/dx (x dE/dx)
-    else:
-        table = _direction_table(spec.theta, spec.lam)[:, : 3 if derivatives else 1]
-        es = list((np.vander(xs, len(table), increasing=True) @ table).T)
-        bad = False
-    e = es[0]
-    skip = bad | (np.abs(1.0 - e) < _DEGENERATE_TOL)
+
+def _weight_terms(es, bad, which: str):
+    """W, then W_1 = x dW/dx and W_2 = x d/dx W_1 as far as `es` holds E,
+    x E' and x (x E')', and the skip of degenerate directions (`bad`, or
+    |1 - E| < _DEGENERATE_TOL), arrays or Python scalars alike: the value
+    base(z) + W(x) dir(z) has W = -eps(x) = -1 - 1/(1 - E) for t1, E for t2."""
+    skip = bad | (abs(1.0 - es[0]) < _DEGENERATE_TOL)
     if which == "t2":
         return (*es, skip)
-    den = np.where(skip, 1.0, 1.0 - e)
-    w = -(2.0 - e) / den
-    if not derivatives:
-        return w, skip
-    e1, e2 = es[1:]
-    w1 = -e1 / (den * den)
-    return w, w1, (2.0 * w1 * e1 - e2 / den) / den, skip
+    den = _ones_where(skip, 1.0 - es[0])
+    ws = [-(2.0 - es[0]) / den, *(-e1 / (den * den) for e1 in es[1:2])]
+    if len(es) > 2:
+        ws.append((2.0 * ws[1] * es[1] - es[2] / den) / den)
+    return (*ws, skip)
+
+
+def _direction_terms(spec: ClassSpec, x, order: int):
+    """E, x E' and x (x E')' up to `order` at directions x, and the mask of
+    poles of Theta: closed forms for a Möbius target; for a polynomial one,
+    powers of an array x times `_direction_table`, or Horner over its rows."""
+    if isinstance(spec.theta, PolynomialTheta):
+        table = _direction_table(spec.theta, spec.lam)
+        if isinstance(x, np.ndarray):
+            return list((np.vander(x, len(table), increasing=True) @ table[:, : order + 1]).T), False
+        e0 = e1 = e2 = 0j
+        for c0, c1, c2 in table[::-1].tolist():
+            e0, e1, e2 = e0 * x + c0, e1 * x + c1, e2 * x + c2
+        return [e0, e1, e2][: order + 1], False
+    A, B = spec.theta.A, spec.theta.B
+    bad = abs(1.0 + B * x) < 1e-14
+    den = _ones_where(bad, 1.0 + B * x)
+    rot, cos = cmath.exp(-1j * spec.lam), math.cos(spec.lam)
+    es = [rot * (cos * ((1.0 + A * x) / den) + 1j * math.sin(spec.lam))]
+    if order > 0:
+        es.append(rot * cos * x * ((A - B) / den**2))  # x dE/dx
+    if order > 1:
+        es.append(es[1] * (1.0 - B * x) / den)  # x d/dx (x dE/dx)
+    return es, bad
+
+
+def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
+    """Per-direction weight plus the skip mask of degenerate directions
+    (`_weight_terms`); with `derivatives`, W_1 and W_2 come between W and
+    the mask."""
+    es = _direction_terms(spec, np.asarray(xs, dtype=complex), 2 if derivatives else 0)
+    return _weight_terms(*es, which)
 
 
 def _convolution_series(f: SigmaSeries, spec: ClassSpec, which: str):
@@ -631,22 +643,26 @@ def _eval_series(table, zs: np.ndarray, columns=None) -> np.ndarray:
     return (powers @ tails[:, :columns] + principals[:columns] / zs[:, None]).T
 
 
-def _torus_jet(table, spec: ClassSpec, which: str, z, x):
-    """F = B + W D at z = rho e^{i phi} and x = e^{i t} (one point, or arrays
-    of one shape), from `table`, the `_jet_table` of (B, D) to j = 2 (D = z
-    d/dz), whose one product serves a point and a batch alike.  Returns (F,
-    [F_phi, F_t], [[F_phiphi, F_phit], [F_phit, F_tt]], |B| + |W D|, skip of
-    degenerate x): F_phi = i (DB + W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D),
-    F_tt = -W_2 D, F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho.
-    """
-    vals = _eval_series(table, np.reshape(z, -1))
-    *ws, skip = _direction_weights(spec, np.reshape(x, -1), which, True)
-    if np.ndim(z) == 0:
-        vals, ws, skip = vals[:, 0], [v[0] for v in ws], skip[0]
-    (b, d, b1, d1, b2, d2), (w, w1, w2) = vals, ws
-    grad = np.array([1j * (b1 + w * d1), 1j * w1 * d])
-    hess = np.array([[-b2 - w * d2, -w1 * d1], [-w1 * d1, -w2 * d]])
-    return b + w * d, grad, hess, abs(b) + abs(w * d), skip
+def _series_at(table, z: complex) -> list:
+    """Every column of a `_jet_table` at one nonzero z, as Python complex numbers."""
+    tails, principals = table
+    powers = np.full(len(tails), z)
+    powers[:1] = 1.0
+    np.multiply.accumulate(powers, out=powers)
+    return [v + p / z for v, p in zip((powers @ tails).tolist(), principals.tolist())]
+
+
+def _point_jet(table, spec: ClassSpec, which: str, z: complex, x: complex, order: int = 2):
+    """F = B + W D at one z = rho e^{i phi} and x = e^{i t} on Python
+    scalars, from `table`, the `_jet_table` of (B, D) to j = 2 (D = z d/dz).
+    Returns (F, (F_phi, F_t), ((F_phiphi, F_phit), (F_phit, F_tt)) or None
+    below `order` 2, |B| + |W D|, skip of a degenerate x): F_phi = i (DB +
+    W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D), F_tt = -W_2 D,
+    F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho."""
+    b, d, b1, d1, b2, d2 = _series_at(table, z)
+    w, w1, *w2, skip = _weight_terms(*_direction_terms(spec, x, order), which)
+    hess = ((-b2 - w * d2, -w1 * d1), (-w1 * d1, -w2[0] * d)) if order > 1 else None
+    return b + w * d, (1j * (b1 + w * d1), 1j * w1 * d), hess, abs(b) + abs(w * d), skip
 
 
 def _polish_minimum(table, spec, which, z0, x0, radius):
@@ -659,11 +675,11 @@ def _polish_minimum(table, spec, which, z0, x0, radius):
     degenerate direction.
     """
 
-    def jet(a):
-        return _torus_jet(table, spec, which, radius * cmath.exp(1j * a[0]), cmath.exp(1j * a[1]))
+    def jet(phi, t):
+        return _point_jet(table, spec, which, radius * cmath.exp(1j * phi), cmath.exp(1j * t))
 
-    angles, val, steps = newton_minimum(jet, np.array([cmath.phase(z0), cmath.phase(x0)]))
-    return val, radius * cmath.exp(1j * angles[0]), cmath.exp(1j * angles[1]), steps
+    phi, t, val, steps = newton_minimum(jet, cmath.phase(z0), cmath.phase(x0))
+    return val, radius * cmath.exp(1j * phi), cmath.exp(1j * t), steps
 
 
 def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
@@ -680,8 +696,7 @@ def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which
         if isinstance(spec.theta, JanowskiTheta):
             x = u / (spec.theta.A - spec.theta.B - spec.theta.B * u)
             return x, x
-    roots = _preimage_roots(spec.theta, u)
-    return _nearest_root(roots, 0.0), _nearest_root(roots, 1.0)
+    return tuple(_nearest_roots(_preimage_roots(spec.theta, u), 0.0, 1.0))
 
 
 def _inside_indicator(inner: np.ndarray) -> np.ndarray:
@@ -736,7 +751,7 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
     even samples zs of |z| = r_max: none when G winds -1 times about 0 along
     it, else the roots of the polynomial that Newton's identities build from
     the trapezoid means of z^p (z G'/G) (Delves & Lyness, Math. Comp. 21,
-    1967), polished by `newton_zeros`, that reach |G| <= 4 eps |z G'|.  A count
+    1967), polished one at a time by `newton_zero`, that reach |G| <= 4 eps |z G'|.  A count
     that none backs may be aliased: it is taken again with 4x the samples, up
     to _RECOUNT_SAMPLES, and then `InconclusiveError` is raised."""
     count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
@@ -751,13 +766,13 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
     table = _jet_table((s_pole,), 1)
 
     def jet(rho, phi):  # G in polar coordinates; |G| <= 4 eps |z G'| is |Newton step| <= 4 eps |z|
-        gz, zg = _eval_series(table, rho * np.exp(1j * phi))
-        return gz, zg / rho, 1j * zg, np.abs(zg), ~np.isfinite(gz)
+        gz, zg = _series_at(table, rho * cmath.exp(1j * phi))
+        return gz, zg / rho, 1j * zg, abs(zg), not cmath.isfinite(gz)
 
-    rho, phi, size, scale, _ = newton_zeros(jet, np.minimum(np.abs(z), r_max), np.angle(z), r_max)
-    located = size <= 4 * np.finfo(float).eps * scale
-    if located.any():
-        return (rho * np.exp(1j * phi))[located]
+    runs = (newton_zero(jet, min(abs(z0), r_max), cmath.phase(z0), r_max) for z0 in z.tolist() if z0)
+    located = [rho * cmath.exp(1j * a) for rho, a, size, scale, _ in runs if size <= _FLOOR * scale]
+    if located:
+        return np.array(located)
     if 4 * len(zs) > _RECOUNT_SAMPLES:
         raise InconclusiveError(f"a zero of G in |z| <= {r_max} is proven, but none was located")
     zs = circle(r_max, 4 * len(zs))
@@ -765,40 +780,43 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
 
 
 def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
-    """(|F|, z, x) at the best zero of F on the rays to the points `ends`, by
-    `newton_zeros` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
-    x_k, the circle direction nearest to annulling F at z_k), else by the
-    secant on the inside indicator over [0, z_k]; `InconclusiveError` when
-    neither gets |F| below grid.min_modulus.  Of the zeros at the rounding
-    floor |F| <= 4 eps (|B| + |W D|) the first in `ends` is kept, so rounding
-    does not move the witness; with none there, the least |F|."""
-    u = ends / np.abs(ends)
+    """(|F|, z, x) at a zero of F on the rays to the points `ends`, by
+    `newton_zero` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
+    x_k, the circle direction nearest to annulling F at z_k), one ray at a
+    time in order: the first zero at the rounding floor |F| <= 4 eps
+    (|B| + |W D|) is the witness, so rounding does not move it.  Else the
+    least |F| below grid.min_modulus runs again from where it ended, or the
+    secant on the inside indicator over [0, z_k] takes over every ray;
+    `InconclusiveError` when that gets no |F| below grid.min_modulus."""
 
-    def jet(rho, t):
-        f, (f_phi, f_t), _, scale, skip = _torus_jet(table, spec, which, rho * u, np.exp(1j * t))
-        return f, -1j * f_phi / rho, f_t, scale, skip
+    def jet(rho, t):  # on the ray of u, as it is when called
+        f, (f_p, f_t), _, scale, skip = _point_jet(table, spec, which, rho * u, cmath.exp(1j * t), 1)
+        return f, -1j * f_p / rho, f_t, scale, skip
 
-    rho, t, size, scale, _ = newton_zeros(jet, np.abs(ends), np.angle(x), grid.r_max)
-    k = int(np.argmin(size))  # a start far from its zero can spend the step budget halving rho
-    if grid.min_modulus > size[k] > 4 * np.finfo(float).eps * scale[k]:
-        u, rho, t = u[k : k + 1], rho[k : k + 1], t[k : k + 1]
-        rho, t, size, _, _ = newton_zeros(jet, rho, t, grid.r_max)
-    z, x = rho * u, np.exp(1j * t)
-    if not np.any(size < grid.min_modulus):
-        z = secant_zeros(
-            lambda z: _inside_indicator(
-                _annulling_points(spec, *_eval_series(table, z, 2), which)[0]
-            ),
-            np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
-        )
-        z = z[np.isfinite(z) & (z != 0)]
-        x = _circle_direction(_annulling_points(spec, *_eval_series(table, z, 2), which)[1])
-    f, _, _, scale, skip = _torus_jet(table, spec, which, z, np.where(np.isfinite(x), x, 1.0))
-    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(f))
+    runs = []
+    for end, x_end in zip(ends.tolist(), x.tolist()):
+        u = end / abs(end)
+        rho, t, size, scale, _ = newton_zero(jet, abs(end), cmath.phase(x_end), grid.r_max)
+        if size <= _FLOOR * scale:
+            return size, rho * u, cmath.exp(1j * t)
+        runs.append((size, rho, t, u))
+    size, rho, t, u = min(runs, key=lambda run: run[0])  # a start far from its zero can
+    if size < grid.min_modulus:  # spend the step budget halving rho
+        rho, t, size, _, _ = newton_zero(jet, rho, t, grid.r_max)
+        return size, rho * u, cmath.exp(1j * t)
+    z = secant_zeros(
+        lambda z: _inside_indicator(_annulling_points(spec, *_eval_series(table, z, 2), which)[0]),
+        np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
+    )
+    z = z[np.isfinite(z) & (z != 0)]
+    b, d = _eval_series(table, z, 2)
+    x = _circle_direction(_annulling_points(spec, b, d, which)[1])
+    w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
+    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(b + w * d))
     located = vals < grid.min_modulus
     if not located.any():
         raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
-    floor = located & (vals <= 4 * np.finfo(float).eps * scale)
+    floor = located & (vals <= _FLOOR * (np.abs(b) + np.abs(w * d)))
     k = int(np.argmax(floor) if floor.any() else np.argmin(vals))
     return float(vals[k]), complex(z[k]), complex(x[k])
 
@@ -870,8 +888,8 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     w = _weight_at(spec, x, which)
     if z == 0:
         raise PoleError("the convolution has a pole at z = 0")
-    bv, dv = _eval_series(_jet_table(_convolution_series(f, spec, which), 0), np.array([complex(z)]))
-    return complex(bv[0] + w * dv[0])
+    b, d = _series_at(_jet_table(_convolution_series(f, spec, which), 0), complex(z))
+    return b + w * d
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Superlinear iterations that polish the witnesses of the convolution check,
-each on a function the caller gives: ``newton_zeros`` locates zeros in two
-real unknowns by Newton's method, with ``secant_zeros`` (Illinois regula
-falsi on segments) as its bracketed safety net, and ``newton_minimum`` and
-``newton_angle_minima`` minimise |F|^2 by a safeguarded Newton's method,
-over two angles from one start or over one angle from many at once.
+each on a function the caller gives.  Two follow one point on Python
+scalars: ``newton_zero`` locates a zero in two real unknowns by Newton's
+method, and ``newton_minimum`` minimises |F|^2 over two angles by a
+safeguarded Newton's method.  Two take numpy arrays, every point at once:
+``newton_angle_minima`` minimises |F|^2 over one angle, and ``secant_zeros``
+(Illinois regula falsi on segments) is the zero search's safety net.
 """
 
 from __future__ import annotations
@@ -31,31 +32,30 @@ _ANGLE_STEPS = 3
 _ZERO_STEPS = 8
 
 
-def newton_zeros(jet, rho: np.ndarray, t: np.ndarray, r_max: float):
-    """Zeros of a complex F(rho, t) in the real unknowns rho and t, per start.
+def newton_zero(jet, rho: float, t: float, r_max: float):
+    """A zero of a complex F(rho, t) in the real unknowns rho and t, from one start.
 
-    jet(rho, t) gives (F, F_rho, F_t, scale, undefined) for the batch, scale
-    the size of the terms summed into F.  A step solves F_rho d_rho + F_t
-    d_t = -F by Cramer's rule (Deuflhard, Newton Methods for Nonlinear
-    Problems, 2004), keeps rho in [rho/2, r_max] and |d_t| <= _MAX_STEP.  A
-    start is done once |F| <= 4 eps scale, or F is undefined or did not fall
-    (rounding).  Returns per start (rho, t, |F|, scale) at its least |F|
-    (scale 0 where F was undefined throughout), and steps.
+    jet(rho, t) gives (F, F_rho, F_t, scale, undefined) as Python scalars,
+    scale the size of the terms summed into F.  A step solves F_rho d_rho +
+    F_t d_t = -F by Cramer's rule (Deuflhard, Newton Methods for Nonlinear
+    Problems, 2004), keeps rho in [rho/2, r_max] and |d_t| <= _MAX_STEP.  It
+    stops once |F| <= 4 eps scale, or F is undefined, did not fall
+    (rounding) or has parallel F_rho and F_t.  Returns (rho, t, |F|, scale)
+    at the least |F| (inf and 0 where F was undefined throughout), and steps.
     """
-    best = [rho, t, np.full(len(rho), math.inf), np.zeros(len(rho))]
+    best = (rho, t, math.inf, 0.0)
     for steps in range(_ZERO_STEPS + 1):
         f, f_rho, f_t, scale, undefined = jet(rho, t)
-        size = np.where(undefined, math.inf, np.abs(f))
-        live = size < best[2]
-        best = [np.where(live, new, old) for new, old in zip((rho, t, size, scale), best)]
-        live &= size > 4 * _EPS * scale
-        if steps == _ZERO_STEPS or not live.any():
+        size = math.inf if undefined else abs(f)
+        if not size < best[2]:
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            c = (f_rho * f_t.conjugate()).imag
-            d_rho, d_t = -(f * f_t.conjugate()).imag / c, (f * f_rho.conjugate()).imag / c
-        rho = np.where(live, np.clip(rho + d_rho, 0.5 * rho, r_max), rho)
-        t = np.where(live, t + np.clip(d_t, -_MAX_STEP, _MAX_STEP), t)
+        best = (rho, t, size, scale)
+        c = (f_rho * f_t.conjugate()).imag
+        if steps == _ZERO_STEPS or size <= 4 * _EPS * scale or c == 0.0:
+            break
+        d_rho, d_t = -(f * f_t.conjugate()).imag / c, (f * f_rho.conjugate()).imag / c
+        rho = min(max(rho + d_rho, 0.5 * rho), r_max)
+        t += min(max(d_t, -_MAX_STEP), _MAX_STEP)
     return (*best, steps)
 
 
@@ -102,58 +102,68 @@ def secant_zeros(fn, za, zb, fa) -> np.ndarray:
     return z[np.argmin(size, axis=0), np.arange(z.shape[1])]
 
 
-def newton_minimum(jet, angles: np.ndarray):
-    """Local minimum of g = |F|^2 over two angles, from `angles`.
+def newton_minimum(jet, a: float, b: float):
+    """Local minimum of g = |F|^2 over two angles, from (a, b).
 
-    jet(angles) gives (F, [F_1, F_2], [[F_11, F_12], [F_21, F_22]], scale,
-    undefined): the partial derivatives of F in the angles, the size of the
-    terms whose sum is F, and whether F is undefined (which counts as +inf).
-    Each step uses the exact gradient 2 Re(conj(F) F_a) and Hessian
-    2 Re(conj(F_a) F_b + conj(F) F_ab) of g (Nocedal & Wright, Numerical
-    Optimization, 2006).  Where the Hessian is not positive definite, or
-    the Newton step does not lower g within _BACKTRACKS halvings, a Cauchy
-    step along the gradient takes over.  It stops once the step is below
-    1e-14 in both angles, the decrease the quadratic model predicts is
-    below the rounding of g, or no step lowers g.  Returns
-    (angles, |F|, iterations); |F| is inf when F is undefined at the start.
+    jet(a, b) gives (F, (F_a, F_b), ((F_aa, F_ab), (F_ba, F_bb)), scale,
+    undefined) as Python scalars: the partial derivatives of F in the
+    angles, the size of the terms whose sum is F, and whether F is
+    undefined (which counts as +inf).  Each step uses the exact gradient
+    2 Re(conj(F) F_a) and Hessian 2 Re(conj(F_a) F_b + conj(F) F_ab) of g
+    (Nocedal & Wright, Numerical Optimization, 2006).  Where the Hessian is
+    not positive definite, or the Newton step does not lower g within
+    _BACKTRACKS halvings, a Cauchy step along the gradient takes over; where
+    the gradient vanishes, a step of _MAX_STEP either way along the direction
+    of most negative curvature.  It stops once the step is below 1e-14 in
+    both angles, the decrease the quadratic model predicts is below the
+    rounding of g, or no step lowers g.  Returns (a, b, |F|, iterations);
+    |F| is inf when F is undefined at the start.
     """
-    at = jet(angles)
+    at = jet(a, b)
     if at[4]:
-        return angles, math.inf, 0
+        return a, b, math.inf, 0
     for steps in range(1, _NEWTON_STEPS + 1):
-        f, df, ddf, scale, _ = at
-        g = abs(f) ** 2
-        grad = 2.0 * (f.conjugate() * df).real
-        hess = 2.0 * (np.outer(df.conjugate(), df) + f.conjugate() * ddf).real
-        if not grad.any():
-            break
-        (h11, h12), (_, h22) = hess
-        det = h11 * h22 - h12 * h12
-        moves = []
-        if h11 > 0 and det > 0:  # Newton's step, where the Hessian is positive definite
-            newton = [h12 * grad[1] - h22 * grad[0], h12 * grad[0] - h11 * grad[1]]
-            moves.append(np.array(newton) / det)
-        curv = grad @ hess @ grad
-        cauchy = grad @ grad / curv if curv > 0 else math.inf
-        moves.append(-grad * min(cauchy, _MAX_STEP / np.abs(grad).max()))
-        # converged, or the model decrease is below the rounding of g
-        decrease = -0.5 * grad @ moves[0]
-        if np.abs(moves[0]).max() < 1e-14 or decrease <= 16 * _EPS * abs(f) * scale:
-            break
-        for move in moves:
-            move = move * min(1.0, _MAX_STEP / np.abs(move).max())
+        f, (f1, f2), ((f11, f12), (_, f22)), scale, _ = at
+        g, fc = abs(f) ** 2, f.conjugate()
+        g1, g2 = 2.0 * (fc * f1).real, 2.0 * (fc * f2).real
+        h11 = 2.0 * (f1.conjugate() * f1 + fc * f11).real
+        h12 = 2.0 * (f1.conjugate() * f2 + fc * f12).real
+        h22 = 2.0 * (f2.conjugate() * f2 + fc * f22).real
+        if g1 or g2:
+            det = h11 * h22 - h12 * h12
+            moves = []
+            if h11 > 0 and det > 0:  # Newton's step, where the Hessian is positive definite
+                moves.append(((h12 * g2 - h22 * g1) / det, (h12 * g1 - h11 * g2) / det))
+            curv = (g1 * h11 + g2 * h12) * g1 + (g1 * h12 + g2 * h22) * g2
+            cauchy = (g1 * g1 + g2 * g2) / curv if curv > 0 else math.inf
+            k = min(cauchy, _MAX_STEP / max(abs(g1), abs(g2)))
+            moves.append((-g1 * k, -g2 * k))
+            # converged, or the model decrease is below the rounding of g
+            decrease = -0.5 * (g1 * moves[0][0] + g2 * moves[0][1])
+            if max(map(abs, moves[0])) < 1e-14 or decrease <= 16 * _EPS * abs(f) * scale:
+                break
+        else:  # a stationary point: a minimum unless an eigenvalue of the Hessian is negative
+            low = 0.5 * (h11 + h22) - math.hypot(0.5 * (h11 - h22), h12)
+            if not low < 0.0:
+                break
+            v = (h12, low - h11) if h12 else ((1.0, 0.0) if h11 <= h22 else (0.0, 1.0))
+            k = _MAX_STEP / max(map(abs, v))
+            moves = [(v[0] * k, v[1] * k), (-v[0] * k, -v[1] * k)]
+        for da, db in moves:
+            k = _MAX_STEP / max(abs(da), abs(db), _MAX_STEP)
+            da, db = da * k, db * k
             for _ in range(_BACKTRACKS + 1):
-                trial = jet(angles + move)
+                trial = jet(a + da, b + db)
                 if not trial[4] and abs(trial[0]) ** 2 < g:
                     break
-                move = 0.5 * move
+                da, db = 0.5 * da, 0.5 * db
             else:
                 continue
             break
         else:
             break
-        angles, at = angles + move, trial
-    return angles, float(abs(at[0])), steps
+        a, b, at = a + da, b + db, trial
+    return a, b, abs(at[0]), steps
 
 
 def newton_angle_minima(jet, t: np.ndarray):
@@ -162,7 +172,8 @@ def newton_angle_minima(jet, t: np.ndarray):
     jet(t) gives (F, F_t, F_tt, undefined) at the angles t.  Each of the
     _ANGLE_STEPS steps is Newton's, -g'/g'' with g' = 2 Re(conj(F) F_t) and
     g'' = 2 (|F_t|^2 + Re(conj(F) F_tt)), where g'' > 0, else the
-    Gauss-Newton step -g'/(2 |F_t|^2); none is longer than _ANGLE_STEP.
+    Gauss-Newton step -g'/(2 |F_t|^2), and -_ANGLE_STEP where g' = 0 and
+    g'' <= 0; none is longer than _ANGLE_STEP.
     Returns (t, |F|) per start at the least |F| its iterates reached (nan
     where F is nan at the start, inf where it is undefined throughout).
     """
@@ -180,7 +191,7 @@ def newton_angle_minima(jet, t: np.ndarray):
             slope = (f.conjugate() * f_t).real
             gauss = np.abs(f_t) ** 2
             curv = gauss + (f.conjugate() * f_tt).real
-            step = -slope / np.where(curv > 0.0, curv, gauss)
-        # a nan step (0/0, where F_t = 0 and g'' <= 0) becomes -_ANGLE_STEP
+            step = -slope / np.where(curv > 0.0, curv, np.where(slope == 0.0, 0.0, gauss))
+        # a nan step (0/0: g' = 0 and g'' <= 0, a maximum or F_t = 0) becomes -_ANGLE_STEP
         t = t + np.fmin(np.fmax(step, -_ANGLE_STEP), _ANGLE_STEP)
     return best_t, best

@@ -8,6 +8,7 @@ the convolution scan minimum from one dense matrix and np.argmin,
 member images by formal composition (Horner's rule over full-length
 convolutions) and exponentiation, in floats or exactly in integers,
 sign bisection by a fixed 80 steps over a caller-supplied indicator,
+zeros in two real unknowns by Newton's method over every start at once,
 the convolution minimum by a 27-point pattern search over a
 caller-supplied modulus, the convolution verdict by all three over the
 whole polar grid, and the direct verdict by the smallest region margin
@@ -200,6 +201,33 @@ def bisect_reference(indicator, za, zb, sa, steps=80):
         left = sa * sm < 0
         za, zb = np.where(left, za, mid), np.where(left, mid, zb)
     return 0.5 * (za + zb)
+
+
+def newton_zeros_reference(jet, rho, t, r_max, zero_steps=8, max_step=0.1):
+    """Zeros of a complex F(rho, t) in the real unknowns rho and t, every start at once.
+
+    jet(rho, t) gives (F, F_rho, F_t, scale, undefined) for the batch.  A
+    step solves F_rho d_rho + F_t d_t = -F by Cramer's rule, keeps rho in
+    [rho/2, r_max] and |d_t| <= max_step.  A start is done once
+    |F| <= 4 eps scale, or F is undefined or did not fall.  Returns per
+    start (rho, t, |F|, scale) at its least |F|, and steps.
+    """
+    eps = np.finfo(float).eps
+    best = [rho, t, np.full(len(rho), math.inf), np.zeros(len(rho))]
+    for steps in range(zero_steps + 1):
+        f, f_rho, f_t, scale, undefined = jet(rho, t)
+        size = np.where(undefined, math.inf, np.abs(f))
+        live = size < best[2]
+        best = [np.where(live, new, old) for new, old in zip((rho, t, size, scale), best)]
+        live &= size > 4 * eps * scale
+        if steps == zero_steps or not live.any():
+            break
+        with np.errstate(divide="ignore", invalid="ignore"):
+            c = (f_rho * f_t.conjugate()).imag
+            d_rho, d_t = -(f * f_t.conjugate()).imag / c, (f * f_rho.conjugate()).imag / c
+        rho = np.where(live, np.clip(rho + d_rho, 0.5 * rho, r_max), rho)
+        t = np.where(live, t + np.clip(d_t, -max_step, max_step), t)
+    return (*best, steps)
 
 
 # offsets of the 27-point pattern over (Re z, Im z, direction angle)

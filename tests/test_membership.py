@@ -44,7 +44,7 @@ from bml import (
 )
 import bml.membership as membership
 from bml.cli import main
-from bml.solvers import _NEWTON_STEPS, _ZERO_STEPS, secant_zeros
+from bml.solvers import _MAX_STEP, _NEWTON_STEPS, _ZERO_STEPS, newton_angle_minima, secant_zeros
 from bml.membership import _preimage_roots
 from oracles import (
     bisect_reference,
@@ -52,6 +52,7 @@ from oracles import (
     dense_scan_minimum,
     grid_convolution_reference,
     grid_direct_reference,
+    newton_zeros_reference,
     pattern_search_reference,
     preimage_roots_reference,
 )
@@ -728,10 +729,10 @@ def _counted(monkeypatch, name, fake=None):
 
 
 def _newton_stays(jet, rho, t, r_max):
-    """A Newton zero search that takes no step: it returns its starts, and
-    |F| and the term scale there."""
+    """A one-start Newton zero search that takes no step: it returns its
+    start, and |F| and the term scale there."""
     f, _, _, scale, undefined = jet(rho, t)
-    return rho, t, np.where(undefined, np.inf, np.abs(f)), np.where(undefined, 0.0, scale), 0
+    return rho, t, (math.inf if undefined else abs(f)), (0.0 if undefined else scale), 0
 
 
 class TestProvenZero:
@@ -757,7 +758,7 @@ class TestProvenZero:
         assert np.all(membership._inside_indicator(inner) < 0.0)
         # with Newton held at its starts, the secant locates the zero
         if newton == "stays":
-            _counted(monkeypatch, "newton_zeros", _newton_stays)
+            _counted(monkeypatch, "newton_zero", _newton_stays)
         secants = _counted(monkeypatch, "secant_zeros")
         rep = check_convolution(f, spec, grid, which)
         assert newton == "real" or len(secants) == 1
@@ -776,7 +777,7 @@ class TestProvenZero:
         grid = GridSpec()
         # with Newton held at its starts, the secant locates the zero
         if newton == "stays":
-            _counted(monkeypatch, "newton_zeros", _newton_stays)
+            _counted(monkeypatch, "newton_zero", _newton_stays)
         secants = _counted(monkeypatch, "secant_zeros")
         rep = check_convolution(f, spec, grid, which)
         assert newton == "real" or len(secants) == 1
@@ -802,17 +803,25 @@ class TestProvenZero:
         def ends(fn, za, zb, fa):
             return np.asarray(zb, dtype=complex)
 
-        newtons = _counted(monkeypatch, "newton_zeros", _newton_stays)
+        rays, zero_witness = [], membership._zero_witness
+
+        def counted_rays(table, spec, which, ends, x, grid):
+            rays.append(len(ends))
+            return zero_witness(table, spec, which, ends, x, grid)
+
+        monkeypatch.setattr(membership, "_zero_witness", counted_rays)
+        newtons = _counted(monkeypatch, "newton_zero", _newton_stays)
         secants = _counted(monkeypatch, "secant_zeros", ends)
         with pytest.raises(InconclusiveError, match="none was located"):
             check_convolution(SigmaSeries(1.0, [0.0, 40.0]), _spec(0.0, 0.0, -1.0), GridSpec())
-        assert len(newtons) == len(secants) == 1
-        assert np.all(newtons[0][2] >= GridSpec().min_modulus)
+        # one run per ray, none located, so no second run and one secant
+        assert len(rays) == len(secants) == 1 and len(newtons) == rays[0] > 1
+        assert all(size >= GridSpec().min_modulus for _, _, size, _, _ in newtons)
         src = tmp_path / "f.spec"
         src.write_text("principal 1 0\ncoef 2 40 0\n")
         assert main(["check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t2"]) == 2
         assert "none was located" in capsys.readouterr().err
-        assert len(newtons) == len(secants) == 2
+        assert len(rays) == len(secants) == 2 and len(newtons) == sum(rays)
 
     @pytest.mark.parametrize("which", ["t1", "t2"])
     def test_witness_stays_under_a_rounding_level_change(self, fast_grid, which):
@@ -910,24 +919,21 @@ class TestPolishMinimum:
         f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
         table = membership._jet_table(membership._convolution_series(f, spec, which), 2)
 
-        def jet(phi, t, rho=0.9):
+        def jet(phi, t, rho=0.9, order=2):
             z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
-            return membership._torus_jet(table, spec, which, z, x)
+            return membership._point_jet(table, spec, which, z, x, order)
 
         def value(phi, t, rho=0.9):
             return jet(phi, t, rho)[0]
 
-        points = ((0.4, 1.1), (2.5, -2.0), (-1.3, 0.2))
-        # the batch the zero search evaluates, with d/drho = -i F_phi / rho
-        phis, ts = np.array(points).T
-        batch = membership._torus_jet(
-            table, spec, which, 0.9 * np.exp(1j * phis), np.exp(1j * ts)
-        )
-        assert not batch[4].any()
-        for k, (phi, t) in enumerate(points):
+        for phi, t in ((0.4, 1.1), (2.5, -2.0), (-1.3, 0.2)):
             f0, (fp, ft), ((fpp, fpt), (ftp, ftt)), scale, skip = jet(phi, t)
             assert fpt == ftp and not skip
-            assert abs(batch[0][k] - f0) <= 1e-15 * scale
+            assert all(type(v) is complex for v in (f0, fp, ft, fpp, fpt, ftt))
+            # the first-order jet the zero search evaluates, with d/drho = -i F_phi / rho
+            f1, (fp1, ft1), hess, scale1, skip1 = jet(phi, t, order=1)
+            assert hess is None and not skip1 and abs(scale1 - scale) <= 1e-15 * scale
+            assert max(abs(f1 - f0), abs(fp1 - fp), abs(ft1 - ft)) <= 1e-15 * scale
             radial = central_derivative(lambda r: value(phi, t, r.real), 0.9)
             h = 1e-4
             mixed = (
@@ -941,8 +947,8 @@ class TestPolishMinimum:
                 (ftt, central_derivative(lambda q: value(phi, q.real), t, h, order=2)),
                 (fpt, mixed),
                 (-1j * fp / 0.9, radial),
-                (-1j * batch[1][0, k] / 0.9, radial),
-                (batch[1][1, k], central_derivative(lambda q: value(phi, q.real), t)),
+                (-1j * fp1 / 0.9, radial),
+                (ft1, central_derivative(lambda q: value(phi, q.real), t)),
             ]
             for analytic, numeric in pairs:
                 assert abs(analytic - numeric) <= 1e-6 * max(scale, abs(analytic))
@@ -988,6 +994,48 @@ class TestPolishMinimum:
             )
             assert rep.margin <= local.min() * (1.0 + 1e-13)
         assert len(steps) == 12 and max(steps) < _NEWTON_STEPS
+
+    def test_polish_leaves_a_maximum_in_the_direction(self):
+        # f = 1/z: for t2, |F| = |E(x) - 1|/r_max, which on this real target
+        # is largest at x = 1; the gradient vanishes there and the Hessian
+        # is negative in the direction angle, so a start there must move off
+        spec = ClassSpec(0.0, PolynomialTheta((1.0, 0.5, 0.05, 0.01)), "spirallike", BMLParams(1, 1, 1, 0))
+        grid = GridSpec()
+        table = membership._jet_table(membership._convolution_series(SigmaSeries(1.0, []), spec, "t2"), 2)
+        val, _, _, steps = membership._polish_minimum(table, spec, "t2", grid.r_max, 1.0, grid.r_max)
+        ws, skip = membership._direction_weights(spec, _directions(4096), "t2")
+        b, d = membership._eval_series(table, np.array([complex(grid.r_max)]), 2)
+        dense = np.abs(b[0] + ws * d[0])[~skip].min()  # 0.4646, near x = -1
+        assert val <= dense and steps < _NEWTON_STEPS
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    def test_polish_jet_calls_are_its_steps_plus_backtracks(self, monkeypatch, which):
+        # the polish follows one point: one jet at its start and one per
+        # trial, each trial either taken (a step) or halved (a backtrack),
+        # and never at the point it stands on
+        grid = GridSpec()
+        point_jet, jets = membership._point_jet, []
+
+        def recorded(table, spec, which, z, x, order=2):
+            out = point_jet(table, spec, which, z, x, order)
+            jets.append((z, x, math.inf if out[4] else abs(out[0]) ** 2))
+            return out
+
+        monkeypatch.setattr(membership, "_point_jet", recorded)
+        polishes = _counted(monkeypatch, "_polish_minimum")
+        for spec, f in _member_classes():
+            jets.clear()
+            polishes.clear()
+            assert check_convolution(f, spec, grid, which).is_member
+            ((_, _, _, steps),) = polishes
+            (z, x, g), backtracks = jets[0], 0
+            for trial in jets[1:]:
+                assert trial[:2] != (z, x)
+                if trial[2] < g:
+                    z, x, g = trial
+                else:
+                    backtracks += 1
+            assert 0 < steps < _NEWTON_STEPS and len(jets) == steps + backtracks
 
 
 class TestSecantZeros:
@@ -1119,6 +1167,16 @@ class TestDirectionMinima:
         assert size.min() <= dense.min() * (1.0 + 1e-10)
         rep = check_convolution(f, spec, grid, which)
         assert rep.is_member and rep.margin <= size.min()
+
+    def test_angle_newton_leaves_a_maximum(self):
+        # F(t) = 1 + e^{it}/2 has its largest modulus 1.5 at t = 0, where
+        # g' = 0 and g'' < 0 while F_t != 0
+        def jet(t):
+            e = np.exp(1j * t)
+            return 1.0 + 0.5 * e, 0.5j * e, -0.5 * e, np.zeros(t.shape, dtype=bool)
+
+        t, size = newton_angle_minima(jet, np.array([0.0]))
+        assert size[0] < 1.5 and size[0] == abs(1.0 + 0.5 * np.exp(1j * t[0]))
 
     @pytest.mark.parametrize(
         "bad", [complex(math.nan, 0.0), complex(math.inf, 0.0), complex(-math.inf, math.nan)]
@@ -1345,13 +1403,14 @@ def test_methods_agree_on_univalent_polynomial_classes(univalent_polynomial_clas
 def test_newton_locates_the_zeros_of_univalent_polynomial_nonmembers(
     univalent_polynomial_classes, monkeypatch
 ):
-    """Newton on F locates every non-member's zero within its step budget
-    (t1 and t2), and the secant, its safety net, never runs."""
+    """Newton on F locates every non-member's zero from its first start
+    within the step budget (t1 and t2), and the secant, its safety net,
+    never runs."""
 
     def no_secant(*args):
         raise AssertionError("the secant ran")
 
-    newtons = _counted(monkeypatch, "newton_zeros")
+    newtons = _counted(monkeypatch, "newton_zero")
     monkeypatch.setattr(membership, "secant_zeros", no_secant)
     grid = GridSpec()
     for _, _, spec, _, nonmember in univalent_polynomial_classes:
@@ -1362,6 +1421,135 @@ def test_newton_locates_the_zeros_of_univalent_polynomial_nonmembers(
             assert abs(val) == pytest.approx(rep.margin, abs=1e-15)
             assert rep.margin < grid.min_modulus
     assert len(newtons) == 32 and max(steps for *_, steps in newtons) < _ZERO_STEPS
+
+
+def _janowski_nonmembers(seed, count):
+    """`count` (spec, f) pairs on random Janowski disc and half-plane
+    classes, f with a random three-term tail large enough that nearly all
+    are non-members."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        B = -1.0 if i % 2 else rng.uniform(-0.9, 0.7)
+        params = BMLParams(
+            rng.uniform(0.8, 1.5), rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0), rng.uniform(0.0, 2.0)
+        )
+        kind = ("spirallike", "convex")[i % 3 == 0]
+        spec = ClassSpec(rng.uniform(-1.2, 1.2), JanowskiTheta(rng.uniform(B + 0.1, 1.0), B), kind, params)
+        out.append((spec, SigmaSeries(1.0, 1.5 * (rng.normal(size=3) + 1j * rng.normal(size=3)))))
+    return out
+
+
+def _batch_zero_witness(table, spec, which, ends, x, grid):
+    """(|F|, z) by the rule the one-ray search replaced, on the same
+    one-point jets: Newton over every ray at once
+    (`newton_zeros_reference`), a second run of the least |F| where it is
+    below grid.min_modulus but above the rounding floor, then the first ray
+    in the order of `ends` at that floor, else the least |F|; None where no
+    |F| falls below grid.min_modulus (the secant's turn)."""
+    floor = 4 * np.finfo(float).eps
+    u = ends / np.abs(ends)
+
+    def jet(rho, t):  # reads u when called: the second run follows one ray
+        out = np.zeros((5, len(rho)), dtype=complex)
+        for k, (r, uk, tk) in enumerate(zip(rho, u, t)):
+            f, (f_phi, f_t), _, scale, skip = membership._point_jet(
+                table, spec, which, r * uk, cmath.exp(1j * tk), 1
+            )
+            out[:, k] = f, -1j * f_phi / r, f_t, scale, skip
+        return out[0], out[1], out[2], out[3].real, out[4].real != 0.0
+
+    def newton(rho, t):
+        return newton_zeros_reference(jet, rho, t, grid.r_max, _ZERO_STEPS, _MAX_STEP)
+
+    rho, t, size, scale, _ = newton(np.abs(ends), np.angle(x))
+    k = int(np.argmin(size))
+    if grid.min_modulus > size[k] > floor * scale[k]:
+        u = u[k : k + 1]
+        rho, t, size, scale, _ = newton(rho[k : k + 1], t[k : k + 1])
+    if not (size < grid.min_modulus).any():
+        return None
+    at_floor = (size < grid.min_modulus) & (size <= floor * scale)
+    k = int(np.argmax(at_floor) if at_floor.any() else np.argmin(size))
+    return size[k], rho[k] * u[k]
+
+
+def _at_the_floor(table, spec, which, size, z, x):
+    """Whether |F| = size at (z, x) is at most 4 eps (|B| + |W D|)."""
+    b, d = membership._eval_series(table, np.array([z]), 2)
+    w, _ = membership._direction_weights(spec, np.array([x]), which)
+    return size <= 4 * np.finfo(float).eps * (abs(b[0]) + abs(w[0] * d[0]))
+
+
+def _recorded_zero_witness(monkeypatch):
+    """Record (arguments, result, whether the secant ran) of every
+    `_zero_witness` call."""
+    calls, zero_witness = [], membership._zero_witness
+    secants = _counted(monkeypatch, "secant_zeros")
+
+    def recorded(*args):
+        before = len(secants)
+        calls.append((args, zero_witness(*args), len(secants) > before))
+        return calls[-1][1]
+
+    monkeypatch.setattr(membership, "_zero_witness", recorded)
+    return calls
+
+
+def test_one_ray_search_picks_the_batch_witness(univalent_polynomial_classes, monkeypatch):
+    """Fed the same jet values, the zero search that follows one ray at a
+    time and stops at the first zero at the rounding floor returns the
+    witness that Newton over every ray at once and its tie rule pick, at
+    that floor, and runs the secant exactly where that rule finds no |F|
+    below min_modulus: polynomial and random Janowski non-members, t1 and t2."""
+    calls = _recorded_zero_witness(monkeypatch)
+    grid = GridSpec()
+    cases = [(spec, f) for _, _, spec, _, f in univalent_polynomial_classes]
+    for spec, f in cases + _janowski_nonmembers(5, 24):
+        for which in ("t1", "t2"):
+            check_convolution(f, spec, grid, which)
+    assert len(calls) >= 64
+    for (table, spec, which, ends, x, grid), (size, z, x_w), secant in calls:
+        batch = _batch_zero_witness(table, spec, which, ends, x, grid)
+        assert secant == (batch is None)
+        if batch is not None:
+            assert abs(z - batch[1]) <= 1e-12
+            assert _at_the_floor(table, spec, which, size, z, x_w)
+
+
+@pytest.mark.parametrize("which", ["t1", "t2"])
+def test_witness_from_the_next_ray_when_the_first_cannot_reach_the_floor(monkeypatch, which):
+    f, spec, grid = SigmaSeries(1.0, [1.0, 1.0j, 1.0]), _spec(0.0, 0.5, -0.5), GridSpec()
+    calls = _recorded_zero_witness(monkeypatch)
+    first = check_convolution(f, spec, grid, which)
+    real, runs = membership.newton_zero, []
+
+    def first_stays(jet, rho, t, r_max):
+        runs.append(rho)
+        return (_newton_stays if len(runs) == 1 else real)(jet, rho, t, r_max)
+
+    monkeypatch.setattr(membership, "newton_zero", first_stays)
+    held = check_convolution(f, spec, grid, which)
+    (table, _, _, ends, _, _), (size, z, x), _ = calls[1]
+    assert len(ends) > 2 and len(runs) == 2 and held.verdict == first.verdict == "non-member"
+    # unheld, ray 0 gives the witness; held at its start, ray 1 does
+    for rep, k in ((first, 0), (held, 1)):
+        assert abs(rep.witness_z / abs(rep.witness_z) - ends[k] / abs(ends[k])) <= 1e-15
+    assert (held.margin, held.witness_z, held.witness_x) == (size, z, x)
+    assert _at_the_floor(table, spec, which, size, z, x)
+
+
+@pytest.mark.parametrize("which", ["t1", "t2"])
+def test_first_located_ray_ends_the_zero_search(monkeypatch, which):
+    # many rays are proven, the first locates its zero: the search
+    # evaluates F only along that ray, within the Newton step budget
+    calls = _recorded_zero_witness(monkeypatch)
+    jets = _counted(monkeypatch, "_point_jet")
+    rep = check_convolution(SigmaSeries(1.0, [1.0, 1.0j, 1.0]), _spec(0.0, 0.5, -0.5), GridSpec(), which)
+    ((_, _, _, ends, _, _), (_, z, _), _) = calls[0]
+    assert rep.verdict == "non-member" and len(ends) > _ZERO_STEPS + 1
+    assert abs(z / abs(z) - ends[0] / abs(ends[0])) <= 1e-15
+    assert 0 < len(jets) <= _ZERO_STEPS + 1
 
 
 def _grid_reference(f, spec, grid, which):
