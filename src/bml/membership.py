@@ -548,15 +548,13 @@ def kernel_series(x: complex, spec: ClassSpec, order: int, which: str) -> SigmaS
 
 
 @lru_cache(maxsize=16)
-def _direction_table(theta: PolynomialTheta, lam: float) -> np.ndarray:
+def _direction_table(theta: PolynomialTheta, lam: float) -> tuple:
     """Coefficients of E = -Phi, x E' and x (x E')' for a polynomial target,
-    as the columns of an (M + 1) x 3 table: row k is E_k (1, k, k^2), with
-    E_0 = 1 and E_k = e^{-i lam} cos(lam) t_k."""
+    as rows of Python complex numbers, highest power first: the row of x^k
+    is E_k (1, k, k^2), with E_0 = 1 and E_k = e^{-i lam} cos(lam) t_k."""
     e = cmath.exp(-1j * lam) * math.cos(lam) * _trimmed_coefficients(theta)
     e[0] = 1.0
-    table = e[:, None] * np.arange(len(e))[:, None] ** np.arange(3)
-    table.flags.writeable = False
-    return table
+    return tuple((c, c * k, c * (k * k)) for k, c in reversed(list(enumerate(e.tolist()))))
 
 
 def _ones_where(mask, values):
@@ -582,17 +580,15 @@ def _weight_terms(es, bad, which: str):
 
 
 def _direction_terms(spec: ClassSpec, x, order: int):
-    """E, x E' and x (x E')' up to `order` at directions x, and the mask of
-    poles of Theta: closed forms for a Möbius target; for a polynomial one,
-    powers of an array x times `_direction_table`, or Horner over its rows."""
+    """E, x E' and x (x E')' up to `order` at directions x (an array or one
+    Python scalar), and the mask of poles of Theta: closed forms for a
+    Möbius target, Horner over the rows of `_direction_table` for a
+    polynomial one."""
     if isinstance(spec.theta, PolynomialTheta):
-        table = _direction_table(spec.theta, spec.lam)
-        if isinstance(x, np.ndarray):
-            return list((np.vander(x, len(table), increasing=True) @ table[:, : order + 1]).T), False
-        e0 = e1 = e2 = 0j
-        for c0, c1, c2 in table[::-1].tolist():
-            e0, e1, e2 = e0 * x + c0, e1 * x + c1, e2 * x + c2
-        return [e0, e1, e2][: order + 1], False
+        es = [0j] * (order + 1)
+        for row in _direction_table(spec.theta, spec.lam):
+            es = [e * x + c for e, c in zip(es, row)]
+        return es, False
     A, B = spec.theta.A, spec.theta.B
     bad = abs(1.0 + B * x) < 1e-14
     den = _ones_where(bad, 1.0 + B * x)
@@ -783,11 +779,12 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     """(|F|, z, x) at a zero of F on the rays to the points `ends`, by
     `newton_zero` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
     x_k, the circle direction nearest to annulling F at z_k), one ray at a
-    time in order: the first zero at the rounding floor |F| <= 4 eps
-    (|B| + |W D|) is the witness, so rounding does not move it.  Else the
-    least |F| below grid.min_modulus runs again from where it ended, or the
-    secant on the inside indicator over [0, z_k] takes over every ray;
-    `InconclusiveError` when that gets no |F| below grid.min_modulus."""
+    time in order: the first |F| below grid.min_modulus and at the
+    rounding floor 4 eps (|B| + |W D|) is the witness, so rounding does not
+    move it.  Else the least |F| below grid.min_modulus runs again from
+    where it ended, or the secant on the inside indicator over [0, z_k]
+    takes over every ray; `InconclusiveError` when that gets no |F| below
+    grid.min_modulus."""
 
     def jet(rho, t):  # on the ray of u, as it is when called
         f, (f_p, f_t), _, scale, skip = _point_jet(table, spec, which, rho * u, cmath.exp(1j * t), 1)
@@ -797,7 +794,7 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     for end, x_end in zip(ends.tolist(), x.tolist()):
         u = end / abs(end)
         rho, t, size, scale, _ = newton_zero(jet, abs(end), cmath.phase(x_end), grid.r_max)
-        if size <= _FLOOR * scale:
+        if size < grid.min_modulus and size <= _FLOOR * scale:
             return size, rho * u, cmath.exp(1j * t)
         runs.append((size, rho, t, u))
     size, rho, t, u = min(runs, key=lambda run: run[0])  # a start far from its zero can

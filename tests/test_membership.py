@@ -1483,13 +1483,18 @@ def _at_the_floor(table, spec, which, size, z, x):
 
 def _recorded_zero_witness(monkeypatch):
     """Record (arguments, result, whether the secant ran) of every
-    `_zero_witness` call."""
+    `_zero_witness` call; the result is None where it raised
+    `InconclusiveError`."""
     calls, zero_witness = [], membership._zero_witness
     secants = _counted(monkeypatch, "secant_zeros")
 
     def recorded(*args):
         before = len(secants)
-        calls.append((args, zero_witness(*args), len(secants) > before))
+        try:
+            calls.append((args, zero_witness(*args), len(secants) > before))
+        except InconclusiveError:
+            calls.append((args, None, len(secants) > before))
+            raise
         return calls[-1][1]
 
     monkeypatch.setattr(membership, "_zero_witness", recorded)
@@ -1515,6 +1520,46 @@ def test_one_ray_search_picks_the_batch_witness(univalent_polynomial_classes, mo
         if batch is not None:
             assert abs(z - batch[1]) <= 1e-12
             assert _at_the_floor(table, spec, which, size, z, x_w)
+
+
+@pytest.mark.parametrize("min_modulus", [1e-15, 1e-16])
+def test_no_proven_zero_is_a_member_below_the_rounding_floor(
+    univalent_polynomial_classes, monkeypatch, min_modulus
+):
+    """Where min_modulus lies below 4 eps (|B| + |W D|), a ray can end at
+    the rounding floor with |F| >= min_modulus.  That run locates nothing,
+    so the search goes on: a proven zero gives a non-member, whose |F| is
+    below min_modulus, or `InconclusiveError`, never a member, and only a
+    run below min_modulus at the floor ends the search early."""
+    calls = _recorded_zero_witness(monkeypatch)
+    runs, starts, zero_witness = _counted(monkeypatch, "newton_zero"), [], membership._zero_witness
+
+    def noted(*args):  # where the runs of each search start
+        starts.append(len(runs))
+        return zero_witness(*args)
+
+    monkeypatch.setattr(membership, "_zero_witness", noted)
+    grid, floor = GridSpec(min_modulus=min_modulus), 4 * np.finfo(float).eps
+    cases = [(spec, f) for _, _, spec, _, f in univalent_polynomial_classes]
+    verdicts = []
+    for spec, f in cases + _janowski_nonmembers(5, 24):
+        for which in ("t1", "t2"):
+            before = len(calls)
+            try:
+                verdicts.append(check_convolution(f, spec, grid, which).verdict)
+            except InconclusiveError:
+                verdicts.append("inconclusive")
+            if len(calls) == before:
+                continue  # no zero proven
+            assert verdicts[-1] != "member"
+            result = calls[-1][1]
+            located = [
+                size < min_modulus and size <= floor * scale for _, _, size, scale, _ in runs[starts[-1] :]
+            ]
+            assert not any(located[:-1])
+            if result is not None:
+                assert result[0] < min_modulus
+    assert len(calls) >= 64 and verdicts.count("non-member") >= len(calls) // 2
 
 
 @pytest.mark.parametrize("which", ["t1", "t2"])
@@ -1550,6 +1595,22 @@ def test_first_located_ray_ends_the_zero_search(monkeypatch, which):
     assert rep.verdict == "non-member" and len(ends) > _ZERO_STEPS + 1
     assert abs(z / abs(z) - ends[0] / abs(ends[0])) <= 1e-15
     assert 0 < len(jets) <= _ZERO_STEPS + 1
+
+
+@pytest.mark.parametrize("which", ["t1", "t2"])
+def test_zero_search_work_when_rays_miss_the_floor(monkeypatch, which):
+    # the zeros sit near |z| = 0.09, every start on |z| = 0.99, so most rays
+    # spend their step budget far from a zero (t1: ray 46 of 50 locates it;
+    # t2: none of 256 does, and the secant locates it).  The cost stays one
+    # Newton run per ray, at most one second run, and one jet per step
+    calls = _recorded_zero_witness(monkeypatch)
+    runs = _counted(monkeypatch, "newton_zero")
+    jets = _counted(monkeypatch, "_point_jet")
+    rep = check_convolution(SigmaSeries(1.0, [0.0, 40.0]), _spec(0.0, 0.0, -1.0), GridSpec(), which)
+    ((_, _, _, ends, _, _), _, secant) = calls[0]
+    assert rep.verdict == "non-member" and len(calls) == 1 and len(ends) > 2 * _ZERO_STEPS
+    assert len(jets) == sum(steps + 1 for *_, steps in runs)
+    assert len(runs) <= len(ends) + 1 and (len(runs) == len(ends) or not secant)
 
 
 def _grid_reference(f, spec, grid, which):
