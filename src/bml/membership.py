@@ -17,10 +17,10 @@ series f is decided three independent ways:
   indexed by boundary directions vanishes in the punctured disc: a sample
   whose annulling value leaves the target region, or a winding of the
   operator image other than -1, proves a zero, which Newton's method on
-  it locates (a secant is the safety net); else Newton's method in the
-  direction angle, at every circle sample from its annulling direction,
-  and then in both angles finds the minimum modulus on the torus (no
-  direction is sampled);
+  it locates ray by ray (the first ray also from a bracketed sign change
+  of the inside indicator); else Newton's method in the direction angle,
+  at every circle sample from its annulling direction, and then in both
+  angles finds the minimum modulus on the torus (no direction is sampled);
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -47,7 +47,7 @@ from .errors import (
 )
 from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid, z_fprime
 from .operator import apply_operator, build_kernel, max_kernel_order
-from .solvers import newton_angle_minima, newton_minimum, newton_zero, secant_zeros
+from .solvers import newton_angle_minima, newton_minimum, newton_zero, secant_zero
 from .special_fn import BMLParams
 
 DEFAULT_MIN_MODULUS = 1e-9
@@ -630,15 +630,6 @@ def _jet_table(series, derivatives: int):
     return table.reshape(len(tails), principals.size), principals.ravel()
 
 
-def _eval_series(table, zs: np.ndarray, columns=None) -> np.ndarray:
-    """Values of the first `columns` columns (all by default) of a
-    `_jet_table` at a batch of nonzero points, one row per column."""
-    tails, principals = table
-    zs = np.asarray(zs, dtype=complex)
-    powers = np.vander(zs, len(tails), increasing=True)
-    return (powers @ tails[:, :columns] + principals[:columns] / zs[:, None]).T
-
-
 def _series_at(table, z: complex) -> list:
     """Every column of a `_jet_table` at one nonzero z, as Python complex numbers."""
     tails, principals = table
@@ -781,41 +772,39 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     x_k, the circle direction nearest to annulling F at z_k), one ray at a
     time in order: the first |F| below grid.min_modulus and at the
     rounding floor 4 eps (|B| + |W D|) is the witness, so rounding does not
-    move it.  Else the least |F| below grid.min_modulus runs again from
-    where it ended, or the secant on the inside indicator over [0, z_k]
-    takes over every ray; `InconclusiveError` when that gets no |F| below
-    grid.min_modulus."""
+    move it.  A miss on the first ray where F is defined at the start gets
+    a second start: the radius where `secant_zero` brackets the sign change
+    of the inside indicator on [0, |z_k|], and the circle direction of the
+    annulling point there.  Else the least |F| below grid.min_modulus is
+    the witness, or `InconclusiveError` is raised."""
 
     def jet(rho, t):  # on the ray of u, as it is when called
         f, (f_p, f_t), _, scale, skip = _point_jet(table, spec, which, rho * u, cmath.exp(1j * t), 1)
         return f, -1j * f_p / rho, f_t, scale, skip
 
+    def located(rho, x0):  # one Newton run on the ray of u, kept in `runs`
+        rho, t, size, scale, _ = newton_zero(jet, rho, cmath.phase(x0), grid.r_max)
+        runs.append((size, rho * u, cmath.exp(1j * t)))
+        return size < grid.min_modulus and size <= _FLOOR * scale
+
+    def annulling(rho):  # the inside indicator and the circle direction at rho u
+        b, d, *_ = _series_at(table, rho * u)
+        inner, outer = _annulling_points(spec, np.array([b]), np.array([d]), which)
+        return float(_inside_indicator(inner)[0]), complex(_circle_direction(outer)[0])
+
     runs = []
-    for end, x_end in zip(ends.tolist(), x.tolist()):
+    for k, (end, x_end) in enumerate(zip(ends.tolist(), x.tolist())):
         u = end / abs(end)
-        rho, t, size, scale, _ = newton_zero(jet, abs(end), cmath.phase(x_end), grid.r_max)
-        if size < grid.min_modulus and size <= _FLOOR * scale:
-            return size, rho * u, cmath.exp(1j * t)
-        runs.append((size, rho, t, u))
-    size, rho, t, u = min(runs, key=lambda run: run[0])  # a start far from its zero can
-    if size < grid.min_modulus:  # spend the step budget halving rho
-        rho, t, size, _, _ = newton_zero(jet, rho, t, grid.r_max)
-        return size, rho * u, cmath.exp(1j * t)
-    z = secant_zeros(
-        lambda z: _inside_indicator(_annulling_points(spec, *_eval_series(table, z, 2), which)[0]),
-        np.zeros(len(ends), dtype=complex), ends, np.full(len(ends), -1.0),
-    )
-    z = z[np.isfinite(z) & (z != 0)]
-    b, d = _eval_series(table, z, 2)
-    x = _circle_direction(_annulling_points(spec, b, d, which)[1])
-    w, skip = _direction_weights(spec, np.where(np.isfinite(x), x, 1.0), which)
-    vals = np.where(skip | ~np.isfinite(x), np.inf, np.abs(b + w * d))
-    located = vals < grid.min_modulus
-    if not located.any():
-        raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
-    floor = located & (vals <= _FLOOR * (np.abs(b) + np.abs(w * d)))
-    k = int(np.argmax(floor) if floor.any() else np.argmin(vals))
-    return float(vals[k]), complex(z[k]), complex(x[k])
+        if located(abs(end), x_end):
+            return runs[-1]
+        if len(runs) == k + 1 and runs[-1][0] < math.inf:  # no bracket yet, and F was defined
+            rho = secant_zero(lambda r: annulling(r)[0], abs(end), -1.0)
+            if located(rho, annulling(rho)[1]):
+                return runs[-1]
+    best = min(runs, key=lambda run: run[0])
+    if best[0] < grid.min_modulus:
+        return best
+    raise InconclusiveError(f"a zero in |z| <= {grid.r_max} is proven, but none was located")
 
 
 def check_convolution(
@@ -830,10 +819,10 @@ def check_convolution(
     dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
     region at a sample of |z| = r_max (grid.angles of them; grid.radii and
     grid.boundary_x are not used), or G has a zero inside (`_image_zeros`:
-    a winding other than -1 that a located zero backs).  On the ray to
-    such a sample or zero, Newton's method on F locates a zero, a
-    bracketed secant its safety net: a non-member, or `InconclusiveError`
-    when no |F| falls below grid.min_modulus.  With no zero, |F| is
+    a winding other than -1 that a located zero backs).  On the rays to
+    such samples or zeros, Newton's method on F, also from a bracket on
+    the first, locates a zero: a non-member, or `InconclusiveError` when
+    no |F| falls below grid.min_modulus.  With no zero, |F| is
     smallest on the torus |z| = r_max, |x| = 1: Newton's method in the
     direction angle at every circle sample (`_direction_minima`), then in
     both angles from the smallest, finds it: member iff it is at least
@@ -856,8 +845,8 @@ def check_convolution(
         s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
         ends = _image_zeros(s_pole, zs, g, grid.r_max)
         if len(ends) > 0:
-            values = _eval_series(table, ends, 2)
-            x_ends = _circle_direction(_annulling_points(spec, *values, which)[1])
+            b, d = np.array([_series_at(table, z)[:2] for z in ends.tolist()]).T
+            x_ends = _circle_direction(_annulling_points(spec, b, d, which)[1])
     skipped = 0
     if len(ends) > 0:
         best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x_ends, grid)

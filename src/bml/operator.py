@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .laurent import SigmaSeries, hadamard
+from .laurent import SigmaSeries
 from .special_fn import BMLParams, GAMMA_MAX_ARG, term_denominator
 
 
@@ -62,8 +62,9 @@ def build_kernel(params: BMLParams, order: int) -> OperatorKernel:
 
 
 def apply_operator(f: SigmaSeries, kernel: OperatorKernel) -> SigmaSeries:
-    """Coefficientwise image: tail_n -> h_n c_n, principal preserved."""
-    return hadamard(kernel.series, f)
+    """Coefficientwise image on the shorter tail: tail_n -> h_n c_n, principal preserved."""
+    n = min(len(f.tail), len(kernel.h))
+    return SigmaSeries(f.principal, kernel.h[:n] * f.tail[:n])
 
 
 def invert_operator(g: SigmaSeries, kernel: OperatorKernel) -> SigmaSeries:

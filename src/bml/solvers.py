@@ -1,10 +1,10 @@
 """Superlinear iterations that polish the witnesses of the convolution check,
-each on a function the caller gives.  Two follow one point on Python
+each on a function the caller gives.  Three follow one point on Python
 scalars: ``newton_zero`` locates a zero in two real unknowns by Newton's
-method, and ``newton_minimum`` minimises |F|^2 over two angles by a
-safeguarded Newton's method.  Two take numpy arrays, every point at once:
-``newton_angle_minima`` minimises |F|^2 over one angle, and ``secant_zeros``
-(Illinois regula falsi on segments) is the zero search's safety net.
+method, ``newton_minimum`` minimises |F|^2 over two angles by a
+safeguarded Newton's method, and ``secant_zero`` (Illinois regula falsi)
+brackets a sign change on one segment.  ``newton_angle_minima`` minimises
+|F|^2 over one angle at every point of a numpy array at once.
 """
 
 from __future__ import annotations
@@ -13,8 +13,8 @@ import math
 
 import numpy as np
 
-_EPS = np.finfo(float).eps
-# function calls of the zero search beyond the one at the right ends
+_EPS = float(np.finfo(float).eps)
+# calls of fn that the secant makes beyond the one at b
 _SECANT_STEPS = 60
 # iteration bound of the Newton polish; it converges in a handful
 _NEWTON_STEPS = 40
@@ -59,47 +59,38 @@ def newton_zero(jet, rho: float, t: float, r_max: float):
     return (*best, steps)
 
 
-def secant_zeros(fn, za, zb, fa) -> np.ndarray:
-    """A sign change of the real function fn on each segment [za, zb].
+def secant_zero(fn, b: float, fa: float) -> float:
+    """A sign change of the real function fn on [0, b], on Python floats.
 
-    The Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971),
-    for all segments at once: each step calls fn at the false-position
-    point of every open bracket, or at its midpoint where that point is
-    not strictly inside, and keeps the part across which the sign
-    changes; an end kept twice in a row has its value halved, which makes
-    the convergence superlinear.  A point within 2 ulp of an end moves to
-    2 ulp from it, so a zero at an end closes its bracket at once.  `fa`
-    holds fn at za; fn at zb is one more call, and a non-finite value
-    counts as +1.  A segment is done once its bracket is at most 4 ulp
-    wide (relative) or fn is exactly 0 there.  Returns, per segment, the
-    bracket end with the smaller |fn|.
+    The Illinois variant of regula falsi (Dowell & Jarratt, BIT 11, 1971):
+    each step calls fn at the false-position point, or at the midpoint
+    where that point is not strictly inside, and keeps the part across
+    which the sign changes; an end kept twice in a row has its value
+    halved.  A point within 2 ulp of an end moves to 2 ulp from it, so a
+    zero at an end closes the bracket at once.  `fa` is fn(0), and a
+    non-finite value of fn counts as +1.  It stops once the bracket is at
+    most 4 ulp wide (relative to b) or fn is 0 there, and returns the end
+    with the smaller |fn|, b on a tie.
     """
 
-    def call(z):
-        v = fn(z)
-        return np.where(np.isfinite(v), v, 1.0)
+    def call(r):
+        v = fn(r)
+        return v if math.isfinite(v) else 1.0
 
-    z = np.array([za, zb], dtype=complex)
-    v = np.array([fa, call(z[1])], dtype=float)
-    size = np.abs(v)  # v gets halved, size keeps |fn|
-    last = np.full(z.shape[1], -1)  # the end each step replaced
+    z, v = [0.0, b], [fa, call(b)]
+    size = [abs(x) for x in v]  # v gets halved, size keeps |fn|
+    last = -1  # the end the last step replaced
     for _ in range(_SECANT_STEPS):
-        width = np.abs(z[1] - z[0])
-        live = np.flatnonzero((v[0] * v[1] < 0) & (width > 4 * _EPS * np.abs(z).max(axis=0)))
-        if len(live) == 0:
+        if not (v[0] * v[1] < 0 and z[1] - z[0] > 4 * _EPS * z[1]):
             break
-        (a, b), (va, vb) = z[:, live], v[:, live]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = va / (va - vb)
-        p = np.where((s > 0.0) & (s < 1.0), a + s * (b - a), 0.5 * (a + b))
-        gap = 2 * _EPS * np.maximum(np.abs(a), np.abs(b)) * (b - a) / width[live]
-        p = np.where(np.abs(p - a) < np.abs(gap), a + gap, p)
-        p = np.where(np.abs(b - p) < np.abs(gap), b - gap, p)
+        s, gap = v[0] / (v[0] - v[1]), 2 * _EPS * z[1]
+        p = z[0] + s * (z[1] - z[0]) if 0.0 < s < 1.0 else 0.5 * (z[0] + z[1])
+        p = min(max(p, z[0] + gap), z[1] - gap)
         vp = call(p)
-        k = (va * vp < 0).astype(int)  # 1: the sign changes on [a, p], so p replaces b
-        v[1 - k, live] *= np.where(last[live] == k, 0.5, 1.0)
-        z[k, live], v[k, live], size[k, live], last[live] = p, vp, np.abs(vp), k
-    return z[np.argmin(size, axis=0), np.arange(z.shape[1])]
+        k = int(v[0] * vp < 0)  # 1: the sign changes on [z[0], p], so p replaces z[1]
+        v[1 - k] *= 0.5 if last == k else 1.0
+        z[k], v[k], size[k], last = p, vp, abs(vp), k
+    return z[0] if size[0] < size[1] else z[1]
 
 
 def newton_minimum(jet, a: float, b: float):

@@ -47,6 +47,21 @@ def test_every_private_top_level_name_is_used():
     assert unused == []
 
 
+def test_every_solver_is_called_from_another_module():
+    """Each top-level function of `bml.solvers` is called from another
+    module of src/bml, so a solver that only the tests call fails."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    solvers = {node.name for node in trees["solvers.py"].body if isinstance(node, ast.FunctionDef)}
+    called = {
+        node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+        for module, tree in trees.items()
+        if module != "solvers.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    }
+    assert solvers and sorted(solvers - called) == []
+
+
 def test_cli_imports_only_the_standard_library_numpy_and_bml():
     """`import bml.cli` in a fresh interpreter loads no third-party module
     besides numpy, and neither numpy.polynomial nor numpy.fft (which only

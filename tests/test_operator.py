@@ -14,6 +14,7 @@ from bml import (
     coefficient_h,
     evaluate,
     gamma_pos,
+    hadamard,
     invert_operator,
     max_kernel_order,
 )
@@ -172,6 +173,19 @@ class TestApplyInvert:
         assert np.array_equal(invert_operator(apply_operator(f, k), k).tail, f.tail)
         with pytest.raises(TypeError):
             OperatorKernel(unit_params, [1.0, 0.5], SigmaSeries(1.0, [1.0, 3.0]))
+
+    def test_apply_is_the_hadamard_product_with_the_kernel_series(self, rng):
+        # random weights and built kernels, shorter than f, as long, and longer
+        for order, n in [(6, 12), (12, 12), (12, 6), (1, 9), (9, 1)]:
+            for k in (
+                OperatorKernel(_random_params(rng), rng.uniform(1e-3, 2.0, size=order)),
+                build_kernel(_random_params(rng), order),
+            ):
+                tail = rng.normal(size=n) + 1j * rng.normal(size=n)
+                f = SigmaSeries(complex(rng.normal(), rng.normal()), tail)
+                got, want = apply_operator(f, k), hadamard(k.series, f)
+                assert got.principal == want.principal and got.order == want.order == min(order, n)
+                assert np.array_equal(got.tail, want.tail)
 
     def test_apply_linear(self, rng, unit_params):
         k = build_kernel(unit_params, 8)
