@@ -3,8 +3,9 @@
 Everything lives in the basis {1/z, 1, z, z^2, ...}: a series is stored
 as the coefficient of 1/z (``principal``) plus tail coefficients
 c_1..c_N, where c_n multiplies z^(n-1).  Values are immutable; all
-operations return new series.  `evaluate_grid` sums a series over the
-samples of a `circle` by one FFT, and anywhere else by Horner's rule.
+operations return new series.  `evaluate_grid` sums a series and its
+z d/dz derivatives over the samples of a `circle` by one FFT, and anywhere
+else by Horner's rule.
 """
 
 from __future__ import annotations
@@ -103,23 +104,30 @@ def circle(radius: float, samples: int) -> np.ndarray:
     return radius * _roots(samples)
 
 
-def evaluate_grid(f: SigmaSeries, zs: np.ndarray) -> np.ndarray:
-    """Values of f over an array of nonzero points: on `circle(r, n)`, bit for
-    bit, with 0 < r <= 1, one DFT f(r w^k) = sum_j b_j w^(jk), w = e^{2 pi i/n},
-    whose bin b_j sums c_(m+1) r^m over m = j mod n plus principal/r at
-    j = n - 1; anywhere else, Horner's rule."""
+def evaluate_grid(f: SigmaSeries, zs: np.ndarray, derivatives: int = 0) -> np.ndarray:
+    """Values of f over an array of nonzero points, with `derivatives` = k > 0
+    those of D^j f (D = z d/dz: c_n -> (n-1)^j c_n) for j = 0..k stacked on
+    a new first axis: on `circle(r, n)`, 0 < r <= 1, bit for bit, one DFT
+    of stacked bins, f(r w^k) = sum_j b_j w^(jk), w = e^{2 pi i/n}, whose
+    bin b_j sums c_(m+1) r^m over m = j mod n plus principal/r at j = n - 1;
+    anywhere else, Horner's rule."""
     zs = np.asarray(zs, dtype=complex)
+    j = np.arange(derivatives + 1)[:, None]
+    tails = np.arange(f.order) ** j * f.tail
+    principals = f.principal * (-1.0) ** j
     n = len(zs) if zs.ndim == 1 else 0
     if n and 0.0 < (r := zs[0].real) <= 1.0 and np.array_equal(zs, r * _roots(n)):
-        bins = np.zeros(n * (f.order // n + 1), dtype=complex)
-        bins[: f.order] = f.tail * r ** np.arange(f.order)
-        bins = bins.reshape(-1, n).sum(axis=0)
-        bins[-1] += f.principal / r
-        return np.fft.ifft(bins, norm="forward")  # n times numpy's ifft
-    acc = np.zeros_like(zs)
-    for c in f.tail[::-1]:
-        acc = acc * zs + c
-    return acc + f.principal / zs
+        bins = np.zeros((len(j), n * (f.order // n + 1)), dtype=complex)
+        bins[:, : f.order] = tails * r ** np.arange(f.order)
+        bins = bins.reshape(len(j), -1, n).sum(axis=1)
+        bins[:, -1:] += principals / r
+        out = np.fft.ifft(bins, norm="forward")  # n times numpy's ifft
+    else:
+        out, col = np.zeros((len(j),) + zs.shape, dtype=complex), (len(j),) + (1,) * zs.ndim
+        for c in tails.T[::-1]:
+            out = out * zs + c.reshape(col)
+        out = out + principals.reshape(col) / zs
+    return out if derivatives else out[0]
 
 
 def hadamard(f: SigmaSeries, g: SigmaSeries) -> SigmaSeries:

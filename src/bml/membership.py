@@ -2,25 +2,26 @@
 
 A class is described by a spiral angle, a boundary target (Möbius or
 polynomial), the operator parameters, and a kind.  Membership of a
-series f is decided three independent ways:
+series f is decided three independent ways, each reading the operator
+image G on |z| = r_max only through its jets D^j G (D = z d/dz), all from
+one FFT:
 
-* ``check_direct`` decides on |z| = r_max alone whether the phase ratio q
-  of the operator image maps the disc into the target region (range
-  containment is subordination, as the target is univalent and both sides
-  agree at the origin; a polynomial target whose derivative vanishes in
-  the disc is refused): q is inside at every circle sample, and the series
-  whose zeros are the poles of q winds -1 times about 0.  For a polynomial
-  target, w is inside exactly when the root of Theta(x) = theta_need(w)
-  nearest the origin lies in the unit disc (all samples at once: closed
-  forms up to degree 3, one batched companion-matrix eigenvalue solve above);
-* ``check_convolution`` decides on |z| = r_max alone whether a convolution
-  indexed by boundary directions vanishes in the punctured disc: a sample
-  whose annulling value leaves the target region, or a winding of the
-  operator image other than -1, proves a zero, which Newton's method on
-  it locates ray by ray (the first ray also from a bracketed sign change
-  of the inside indicator); else Newton's method in the direction angle,
-  at every circle sample from its annulling direction, and then in both
-  angles finds the minimum modulus on the torus (no direction is sampled);
+* ``check_direct`` decides whether the phase ratio q of G maps the disc
+  into the target region (range containment is subordination, as the
+  target is univalent and both sides agree at the origin; a polynomial
+  target whose derivative vanishes in the disc is refused): q is inside at
+  every circle sample, and the series whose zeros are the poles of q winds
+  -1 times about 0.  For a polynomial target, w is inside exactly when the
+  root of Theta(x) = theta_need(w) nearest the origin lies in the unit
+  disc, the one root solved per sample (closed forms up to degree 3);
+* ``check_convolution`` decides whether a convolution indexed by boundary
+  directions vanishes in the punctured disc: a sample whose annulling
+  value leaves the target region, or a winding of G other than -1, proves
+  a zero, which Newton's method on it locates ray by ray (the first ray
+  also from a bracketed sign change of the inside indicator); else
+  Newton's method in the direction angle, at every circle sample from its
+  annulling direction, and then in both angles finds the minimum modulus
+  on the torus (no direction is sampled);
 * ``check_alexander`` reroutes a convex query through the spirallike
   check of -z f'.
 
@@ -45,7 +46,7 @@ from .errors import (
     PoleError,
     SingularPointError,
 )
-from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid, z_fprime
+from .laurent import SigmaSeries, alexander, binomial_series, circle, evaluate_grid
 from .operator import apply_operator, build_kernel, max_kernel_order
 from .solvers import newton_angle_minima, newton_minimum, newton_zero, secant_zero
 from .special_fn import BMLParams
@@ -251,92 +252,100 @@ def _require_univalent(theta: ThetaSpec):
                 )
 
 
-def _preimage_roots(theta: PolynomialTheta, u) -> np.ndarray:
-    """All M roots of Theta(x) = 1 + u for each offset u of a batch, shape (n, M).
+_LARGE = 2.0**300  # below it, h * h of Cardano stays finite (see `_monic_frame`)
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)[:, None]
+_NO_ROWS = np.empty(0, dtype=int)
 
-    The degree picks the solver: closed forms for M <= 3 (see
-    `_closed_form_roots`), otherwise one eigenvalue solve over the stack
-    of companion matrices of Theta(x) - 1 - u (t_0 = 1), which differ only
-    in the last entry of their first row.  Rows whose u is non-finite, or
-    makes that entry or its modulus overflow, are inf.
-    """
+
+@lru_cache(maxsize=16)
+def _monic_frame(theta: PolynomialTheta):
+    """(-t_M, hi, fixed, limit): (Theta(x) - 1 - u)/t_M = x^M + hi[0] x^(M-1)
+    + ... + c0, c0 = u/(-t_M), hi Python complex numbers of Fujiwara bound
+    `fixed`; rows with |c0| < limit (and fixed^M) are solved unscaled."""
     co = _trimmed_coefficients(theta)
-    u = np.asarray(u, dtype=complex).ravel()
-    m = len(co) - 1
-    if m == 0:
-        return np.empty((len(u), 0), dtype=complex)
-    with np.errstate(over="ignore", invalid="ignore"):
-        last = u / co[-1]
-        nonfinite = np.flatnonzero(~np.isfinite(np.abs(last)))
-    origin = np.flatnonzero(last == 0.0)  # u = 0: x = 0 is a root, exactly
-    if len(nonfinite):
-        last[nonfinite] = 0.0
-    if m == 1:
-        roots = last[:, None]
-    elif m <= 3:
-        roots = _closed_form_roots(co[-2:0:-1] / co[-1], -last)
-    else:
-        comp = np.zeros((len(u), m, m), dtype=complex)
-        comp[:, 0, :-1] = -co[-2:0:-1] / co[-1]
-        comp[:, 0, -1] = last
-        comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-        roots = np.linalg.eigvals(comp)
-    if len(nonfinite):
-        roots[nonfinite] = np.inf
-    if len(origin):
-        roots[origin, np.argmin(np.abs(roots[origin]), axis=1)] = 0.0
-    return roots
-
-
-_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi * np.arange(3) / 3)
-
-
-def _closed_form_roots(hi: np.ndarray, c0: np.ndarray) -> np.ndarray:
-    """Roots of x^M + hi[0] x^(M-1) + ... + hi[-1] x + c0 for M = 2, 3, per c0.
-
-    x = s y with s a per-row power of two above the Fujiwara bound, so
-    every coefficient of the monic polynomial in y has modulus <= 1 and
-    nothing overflows.  The quadratic formula (square root signed against
-    cancellation) or Cardano's formula (the larger of the two cubes) gives
-    y; one Newton step then polishes each root where it is finite.
-    """
+    hi = (co[-2:0:-1] / co[-1]).tolist()
+    fixed = max((abs(a) ** (1.0 / j) for j, a in enumerate(hi, 1)), default=0.0)
     m = len(hi) + 1
-    fixed = max(abs(a) ** (1.0 / j) for j, a in enumerate(hi, 1))
-    s = np.ldexp(1.0, np.frexp(np.maximum(np.abs(c0) ** (1.0 / m), fixed))[1])
-    inv = 1.0 / s
-    coef = [*hi, c0]
-    for j in range(m):  # coefficient k is divided by s^(k+1), exactly
-        coef[j:] = [c * inv for c in coef[j:]]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if m == 2:
-            b, c = coef
-            d = np.sqrt(b * b - 4.0 * c)
-            q = -0.5 * (b + np.where((b.conj() * d).real < 0.0, -d, d))
-            y = np.stack([q, np.where(q == 0.0, 0.0, c / q)], axis=1)
+    limit = (_LARGE if fixed**m <= _LARGE else -1.0) if m in (2, 3) else math.inf
+    return complex(-co[-1]), hi, fixed, limit
+
+
+def _preimage_roots(theta: PolynomialTheta, u, outer: bool = False) -> np.ndarray:
+    """The root of Theta(x) = 1 + u nearest the origin per offset u, shape
+    (n,), with `outer` also the root whose modulus is nearest 1, shape
+    (2, n), for Theta of degree M >= 1 in its `_monic_frame`: x = -c0 for
+    M = 1; M = 2, 3 take `_monic_roots`, for y = x/s where |c0| reaches the
+    limit (s a per-row power of two above the Fujiwara bound) and for x
+    elsewhere, so such a row's roots do not depend on the batch; above, one
+    eigenvalue solve over the stack of companion matrices.  Rows whose u is
+    non-finite, or makes c0 or its modulus overflow, are inf; u = 0 gives
+    the root x = 0 exactly."""
+    neg_lead, hi, fixed, limit = _monic_frame(theta)
+    m = len(hi) + 1
+    with np.errstate(all="ignore"):
+        c0 = np.asarray(u, dtype=complex).ravel() / neg_lead
+        size = np.abs(c0)
+        origin = np.flatnonzero(c0 == 0.0) if size.min() == 0.0 else _NO_ROWS
+        nonfinite = rows = _NO_ROWS
+        if not size.max() < limit:  # also where a size is nan
+            big = np.flatnonzero(~(size < limit))
+            finite = np.isfinite(size[big])
+            nonfinite, rows = big[~finite], big[finite]
+            c0[nonfinite] = 0.0
+        if m == 1:
+            roots = np.stack([-c0] * (1 + outer))
+        elif m <= 3:
+            roots = _monic_roots(hi, c0, outer)
+            if len(rows):
+                s = np.ldexp(1.0, np.frexp(np.maximum(size[rows] ** (1.0 / m), fixed))[1])
+                inv, coef = 1.0 / s, [*hi, c0[rows]]
+                for j in range(m):  # coefficient k is divided by s^(k+1), exactly
+                    coef[j:] = [c * inv for c in coef[j:]]
+                roots[:, rows] = _monic_roots(coef[:-1], coef[-1], outer) * s
         else:
-            a, b, c = coef
-            a3 = a / 3.0
-            p = b - a * a3
-            h = 0.5 * (a3 * (b - 2.0 * a3 * a3) - c)  # -q/2 of the depressed cubic
-            r = np.sqrt(h * h + p * p * p / 27.0)
-            cube = np.where(np.abs(h + r) >= np.abs(h - r), h + r, h - r)
-            u = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
-            u = u[:, None] * _CUBE_ROOTS_OF_UNITY
-            y = u - np.where(u == 0.0, 0.0, p[:, None] / (3.0 * u)) - a3[:, None]
-        val, der = y + coef[0][:, None], 1.0
-        for c in coef[1:]:
-            der = der * y + val
-            val = val * y + c[:, None]
-        step = val / der
-    y = np.where(np.isfinite(step), y - step, y)
-    return y * s[:, None]
+            comp = np.zeros((len(c0), m, m), dtype=complex)
+            comp[:, 0, :-1], comp[:, 0, -1] = -np.array(hi), -c0
+            comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
+            roots = _nearest(np.linalg.eigvals(comp).T, outer)
+    roots[:, nonfinite] = np.inf
+    roots[0, origin] = 0.0
+    return roots if outer else roots[0]
 
 
-def _nearest_roots(roots: np.ndarray, *radii: float) -> list:
-    """Per radius, the root of each row of `_preimage_roots` (of degree at
-    least 1) whose modulus is nearest it."""
-    size, rows = np.abs(roots), np.arange(len(roots))
-    return [roots[rows, np.argmin(np.abs(size - r) if r else size, axis=1)] for r in radii]
+def _nearest(y: np.ndarray, outer: bool) -> np.ndarray:
+    """Per column of y, the entry of least modulus (with `outer`, then the one of modulus nearest 1)."""
+    size = np.abs(y)
+    pick = [size.argmin(axis=0), np.abs(size - 1.0).argmin(axis=0)][: 1 + outer]
+    return y[pick, np.arange(y.shape[1])]
+
+
+def _monic_roots(hi, c0, outer: bool) -> np.ndarray:
+    """`_nearest` of the roots of x^M + hi[0] x^(M-1) + ... + c0, M = 2, 3,
+    per c0, each polished by one Newton step where that is finite: the
+    quadratic formula with its square root signed against cancellation (so
+    c0/q is the smaller root), or Cardano's formula with the larger cube."""
+    if len(hi) == 1:
+        (b,) = hi
+        d = np.sqrt(b * b - 4.0 * c0)
+        q = -0.5 * b - d * np.copysign(0.5, (d * np.conjugate(b)).real)
+        x = c0 / q  # 0/0 only where c0 = b = 0
+        x = np.stack([x, np.where(np.abs(q) + np.abs(x) < 2.0, q, x)]) if outer else x[None]
+    else:
+        a3, b = hi[0] / 3.0, hi[1]
+        p = b - hi[0] * a3
+        h = 0.5 * a3 * (b - 2.0 * a3 * a3) - 0.5 * c0  # -q/2 of the depressed cubic
+        r = np.sqrt(h * h + p * p * p / 27.0)
+        cube = h + r * np.copysign(1.0, (h * np.conjugate(r)).real)
+        w = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
+        v = np.where(w == 0.0, 0.0, p / 3.0 / w)  # w = 0 only where p = 0
+        x = _nearest(w * _CUBE_ROOTS_OF_UNITY - v * _CUBE_ROOTS_OF_UNITY.conjugate() - a3, outer)
+    val = x + hi[0]
+    der = x + val  # Horner's rule for the value and the derivative
+    for c in hi[1:]:
+        val = val * x + c
+        der = der * x + val
+    step = (val * x + c0) / der
+    return np.where(np.isfinite(step), x - step, x)
 
 
 def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
@@ -356,12 +365,10 @@ def region_margins(spec: ClassSpec, ws: np.ndarray) -> np.ndarray:
     co = _trimmed_coefficients(spec.theta)
     if len(co) == 1:  # constant target: the region is the single point -1
         return -np.abs(ws + 1.0)
-    (x,) = _nearest_roots(_preimage_roots(spec.theta, _theta_need(spec, -(ws.ravel() + 1.0))), 0.0)
-    finite = np.isfinite(x)
-    x = np.where(finite, x, 0.0)
-    slope = np.abs(np.polyval(np.polyder(co[::-1]), x))
-    margins = math.cos(spec.lam) * slope * (1.0 - np.abs(x))
-    return np.where(finite, margins, -np.inf).reshape(ws.shape)
+    x = _preimage_roots(spec.theta, _theta_need(spec, -(ws.ravel() + 1.0)))
+    with np.errstate(invalid="ignore"):
+        margins = math.cos(spec.lam) * np.abs(np.polyval(np.polyder(co[::-1]), x)) * (1.0 - np.abs(x))
+    return np.where(np.isfinite(x), margins, -np.inf).reshape(ws.shape)
 
 
 def target_region_contains(spec: ClassSpec, w: complex):
@@ -424,15 +431,15 @@ def phase_ratio(
 
 def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
     """Vectorized phase ratios q = z P'/P, the mask of singular sample
-    points, P and P(zs).  P is the operator image G (spirallike kind) or
-    z G' (convex kind, q as 1 + (z P' - P)/P): its zeros are the poles of q."""
+    points, the operator image G, j and (P, z P') at zs from one
+    `evaluate_grid` of G: P = D^j G (D = z d/dz), whose zeros are the poles
+    of q, is G (j = 0, spirallike) or z G' (j = 1, convex, q = 1 + (z P' - P)/P)."""
     g = _bml_image(f, spec.params)
-    p = g if spec.kind == "spirallike" else z_fprime(g)
-    den = evaluate_grid(p, zs)
-    num = evaluate_grid(z_fprime(p), zs) - (den if spec.kind == "convex" else 0.0)
+    j = int(spec.kind == "convex")
+    den, num = values = evaluate_grid(g, zs, j + 1)[j:]
     skip = np.abs(den) < min_modulus
-    q = num / np.where(skip, 1.0, den)
-    return (1.0 + q if spec.kind == "convex" else q), skip, p, den
+    q = (num - den if j else num) / np.where(skip, 1.0, den)
+    return (1.0 + q if j else q), skip, g, j, values
 
 
 # ---------------------------------------------------------------------------
@@ -459,23 +466,17 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
     _require_sigma(f)
     _require_univalent(spec.theta)
     zs = grid.circle_points()
-    q, skip, p, den = phase_grid(f, spec, zs, grid.min_modulus)
+    q, skip, g, j, values = phase_grid(f, spec, zs, grid.min_modulus)
     skipped = int(skip.sum())
     if skipped > 0.01 * len(zs):
         raise InconclusiveError(f"{skipped} of {len(zs)} samples were singular; verdict withheld")
     margins = np.where(skip, np.inf, region_margins(spec, q))
     idx = int(np.argmin(margins))
     margin, witness = float(margins[idx]), complex(zs[idx])
-    if margin > 0.0 and len(zeros := _image_zeros(p, zs, den, grid.r_max)):
+    if margin > 0.0 and len(zeros := _image_zeros(g, j, zs, values, grid.r_max)):
         margin, witness = _pole_witness(f, spec, zeros[0], grid)
-    return MembershipReport(
-        verdict="member" if margin > 0.0 else "non-member",
-        margin=margin,
-        witness_z=witness,
-        witness_x=None,
-        method="direct",
-        skipped=skipped,
-    )
+    verdict = "member" if margin > 0.0 else "non-member"
+    return MembershipReport(verdict, margin, witness, None, "direct", skipped)
 
 
 def check_alexander(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipReport:
@@ -609,25 +610,24 @@ def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives:
     return _weight_terms(*es, which)
 
 
-def _convolution_series(f: SigmaSeries, spec: ClassSpec, which: str):
-    """The (base, dir) series pair of the convolution value base + W dir."""
-    target = alexander(f) if spec.kind == "convex" else f
-    g = _bml_image(target, spec.params)
-    n = np.arange(1, g.order + 1)
-    if which == "t1":
-        return SigmaSeries(1.0, (n + 1) * g.tail), SigmaSeries(0.0, n * g.tail)
-    return z_fprime(g), g
+def _convolution_image(f: SigmaSeries, spec: ClassSpec) -> SigmaSeries:
+    """The operator image G of f (of -z f' for the convex kind): F is built from its jets."""
+    return _bml_image(alexander(f) if spec.kind == "convex" else f, spec.params)
 
 
-def _jet_table(series, derivatives: int):
-    """Coefficients of D^j s (D = z d/dz) for j = 0..derivatives and each s
-    of `series` (all of one order), j-major: an (N x k) table whose columns
-    are the tails times (n - 1)^j, and the k principals times (-1)^j."""
+def _convolution_pair(which: str, jets, j: int = 0):
+    """(D^j base, D^j dir) of F = base + W dir from the jets D^k G (D = z d/dz),
+    arrays or Python scalars: (DG + 2G, DG + G) for t1, (DG, G) for t2."""
+    g, dg = jets[j], jets[j + 1]
+    return (dg + 2.0 * g, dg + g) if which == "t1" else (dg, g)
+
+
+def _jet_table(s: SigmaSeries, derivatives: int):
+    """Coefficients of D^j s (D = z d/dz) for j = 0..derivatives: an
+    (N x (derivatives + 1)) table whose columns are the tail times
+    (n - 1)^j, and the principals times (-1)^j."""
     j = np.arange(derivatives + 1)
-    tails = np.stack([s.tail for s in series], axis=1)
-    table = np.arange(len(tails))[:, None, None] ** j[:, None] * tails[:, None, :]
-    principals = np.outer((-1.0) ** j, [s.principal for s in series])
-    return table.reshape(len(tails), principals.size), principals.ravel()
+    return np.arange(s.order)[:, None] ** j * s.tail[:, None], s.principal * (-1.0) ** j
 
 
 def _series_at(table, z: complex) -> list:
@@ -641,26 +641,24 @@ def _series_at(table, z: complex) -> list:
 
 def _point_jet(table, spec: ClassSpec, which: str, z: complex, x: complex, order: int = 2):
     """F = B + W D at one z = rho e^{i phi} and x = e^{i t} on Python
-    scalars, from `table`, the `_jet_table` of (B, D) to j = 2 (D = z d/dz).
+    scalars, from `table`, the `_jet_table` of G to j = 3 (D = z d/dz).
     Returns (F, (F_phi, F_t), ((F_phiphi, F_phit), (F_phit, F_tt)) or None
     below `order` 2, |B| + |W D|, skip of a degenerate x): F_phi = i (DB +
     W DD), F_t = i W_1 D, F_phiphi = -(D^2 B + W D^2 D), F_tt = -W_2 D,
     F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho."""
-    b, d, b1, d1, b2, d2 = _series_at(table, z)
+    gs = _series_at(table, z)
+    (b, d), (b1, d1), (b2, d2) = (_convolution_pair(which, gs, j) for j in range(3))
     w, w1, *w2, skip = _weight_terms(*_direction_terms(spec, x, order), which)
     hess = ((-b2 - w * d2, -w1 * d1), (-w1 * d1, -w2[0] * d)) if order > 1 else None
     return b + w * d, (1j * (b1 + w * d1), 1j * w1 * d), hess, abs(b) + abs(w * d), skip
 
 
 def _polish_minimum(table, spec, which, z0, x0, radius):
-    """Newton's polish of the smallest |F| on the torus |z| = radius, |x| = 1.
-
-    Runs when no zero was found: F then has no zero in 0 < |z| <= radius
-    and one pole, at 0, so by the minimum-modulus principle its smallest
-    modulus lies on |z| = radius.  `newton_minimum` runs from the angles
-    of (z0, x0).  Returns (|F|, z, x, iterations); |F| is inf when x0 is a
-    degenerate direction.
-    """
+    """Newton's polish of the smallest |F| on the torus |z| = radius, |x| = 1,
+    by `newton_minimum` from the angles of (z0, x0), when no zero was found:
+    F then has no zero in 0 < |z| <= radius and one pole, at 0, so its
+    smallest modulus lies on |z| = radius.  Returns (|F|, z, x, iterations);
+    |F| is inf when x0 is a degenerate direction."""
 
     def jet(phi, t):
         return _point_jet(table, spec, which, radius * cmath.exp(1j * phi), cmath.exp(1j * t))
@@ -673,25 +671,22 @@ def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which
     """Per sample, points x (not restricted to the circle) whose direction
     annuls the convolution value: E(x) = e, with e the annulling value
     (2 dir - base)/(dir - base) for t1 and -base/dir for t2, carried as the
-    offset e - 1 = dir/(dir - base) or -(base + dir)/dir.  Returns
-    (inner, outer): a Möbius target has one such x, which is both; for a
-    polynomial target, one `_preimage_roots` solve gives the root nearest
-    the origin and the root whose modulus is nearest 1."""
+    offset e - 1 = dir/(dir - base) or -(base + dir)/dir.  Returns (inner,
+    outer): the one x of a Möbius target, or the two `_preimage_roots`."""
     with np.errstate(divide="ignore", invalid="ignore"):
         d = dirv / (dirv - base) if which == "t1" else -(base + dirv) / dirv
         u = _theta_need(spec, d)
         if isinstance(spec.theta, JanowskiTheta):
             x = u / (spec.theta.A - spec.theta.B - spec.theta.B * u)
             return x, x
-    return tuple(_nearest_roots(_preimage_roots(spec.theta, u), 0.0, 1.0))
+    return _preimage_roots(spec.theta, u, outer=True)
 
 
 def _inside_indicator(inner: np.ndarray) -> np.ndarray:
     """Signed indicator (|x| - 1)/(|x| + 1) of the inner annulling points x:
     negative where x lies inside the unit circle (the annulling value sits
-    inside the target region), positive outside, -1 at the puncture.  It
-    stays in [-1, 1], so a radius that ends near a pole of the annulling
-    value does not stall the secant on a huge end value."""
+    inside the target region), positive outside, -1 at the puncture; in
+    [-1, 1], so no end value near a pole of e stalls the secant."""
     size = np.abs(inner)
     with np.errstate(invalid="ignore"):
         return (size - 1.0) / (size + 1.0)
@@ -733,28 +728,33 @@ def _direction_minima(spec: ClassSpec, which: str, base, dirv, x: np.ndarray):
     return t, size, int(fallback.sum())
 
 
-def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: float):
-    """Zeros of G (simple pole at 0) in 0 < |z| <= r_max, from g = G(zs) at the
-    even samples zs of |z| = r_max: none when G winds -1 times about 0 along
-    it, else the roots of the polynomial that Newton's identities build from
-    the trapezoid means of z^p (z G'/G) (Delves & Lyness, Math. Comp. 21,
-    1967), polished one at a time by `newton_zero`, that reach |G| <= 4 eps |z G'|.  A count
-    that none backs may be aliased: it is taken again with 4x the samples, up
-    to _RECOUNT_SAMPLES, and then `InconclusiveError` is raised."""
-    count = round(float(np.angle(np.roll(g, -1) / g).sum()) / (2.0 * math.pi)) + 1
+def _image_zeros(g: SigmaSeries, j: int, zs: np.ndarray, values, r_max: float):
+    """Zeros of P = D^j G (D = z d/dz; simple pole at 0) in 0 < |z| <= r_max,
+    from values = (P, D P) at the even samples zs of |z| = r_max: the
+    samples where P is 0, if any; else none when P winds -1 times about 0,
+    else the roots of the polynomial that Newton's identities build from
+    the trapezoid means of z^p (D P/P) (Delves & Lyness, Math. Comp. 21,
+    1967), polished by `newton_zero`, that reach |P| <= 4 eps |D P|.  A
+    count that none backs may be aliased: it is taken again with 4x the
+    samples, up to _RECOUNT_SAMPLES, then `InconclusiveError` is raised."""
+    p, dp = values
+    if len(on_circle := zs[p == 0.0]):
+        return on_circle
+    turn = float(np.angle(p[1:] / p[:-1]).sum()) + cmath.phase(p[0] / p[-1])
+    count = round(turn / (2.0 * math.pi)) + 1
     if count == 0:
         return np.empty(0, dtype=complex)
-    ratio = evaluate_grid(z_fprime(s_pole), zs) / g
-    sums = [np.mean(zs**p * ratio) for p in range(1, count + 1)]
+    ratio = dp / p
+    sums = [np.mean(zs**k * ratio) for k in range(1, count + 1)]
     elem = [1.0]
     for k in range(1, count + 1):
         elem.append(sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
     z = np.roots([(-1) ** k * e for k, e in enumerate(elem)]).astype(complex)
-    table = _jet_table((s_pole,), 1)
+    table = _jet_table(g, j + 1)
 
-    def jet(rho, phi):  # G in polar coordinates; |G| <= 4 eps |z G'| is |Newton step| <= 4 eps |z|
-        gz, zg = _series_at(table, rho * cmath.exp(1j * phi))
-        return gz, zg / rho, 1j * zg, abs(zg), not cmath.isfinite(gz)
+    def jet(rho, phi):  # P in polar coordinates; |P| <= 4 eps |D P| is |Newton step| <= 4 eps |z|
+        pz, zp = _series_at(table, rho * cmath.exp(1j * phi))[j:]
+        return pz, zp / rho, 1j * zp, abs(zp), not cmath.isfinite(pz)
 
     runs = (newton_zero(jet, min(abs(z0), r_max), cmath.phase(z0), r_max) for z0 in z.tolist() if z0)
     located = [rho * cmath.exp(1j * a) for rho, a, size, scale, _ in runs if size <= _FLOOR * scale]
@@ -763,7 +763,7 @@ def _image_zeros(s_pole: SigmaSeries, zs: np.ndarray, g: np.ndarray, r_max: floa
     if 4 * len(zs) > _RECOUNT_SAMPLES:
         raise InconclusiveError(f"a zero of G in |z| <= {r_max} is proven, but none was located")
     zs = circle(r_max, 4 * len(zs))
-    return _image_zeros(s_pole, zs, evaluate_grid(s_pole, zs), r_max)
+    return _image_zeros(g, j, zs, evaluate_grid(g, zs, j + 1)[j:], r_max)
 
 
 def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
@@ -788,7 +788,7 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
         return size < grid.min_modulus and size <= _FLOOR * scale
 
     def annulling(rho):  # the inside indicator and the circle direction at rho u
-        b, d, *_ = _series_at(table, rho * u)
+        b, d = _convolution_pair(which, _series_at(table, rho * u))
         inner, outer = _annulling_points(spec, np.array([b]), np.array([d]), which)
         return float(_inside_indicator(inner)[0]), complex(_circle_direction(outer)[0])
 
@@ -812,11 +812,12 @@ def check_convolution(
 ) -> MembershipReport:
     """Non-vanishing test of the direction-indexed convolution, decided on |z| = r_max.
 
-    F_x(z) = base(z) + W(x) dir(z) vanishes for some |x| = 1 exactly when
-    the annulling value e(z) (`_annulling_points`) lies on the boundary of
-    the target region.  e is E(0) = 1, inside, at the puncture, and its
-    only poles are the zeros of the operator image G (base - dir for t1,
-    dir for t2).  So F has a zero in 0 < |z| <= r_max iff e is outside the
+    F_x(z) = base(z) + W(x) dir(z), with (base, dir) = (DG + 2G, DG + G)
+    for t1 and (DG, G) for t2 (`_convolution_pair`), vanishes for some
+    |x| = 1 exactly when the annulling value e(z) (`_annulling_points`)
+    lies on the boundary of the target region.  e is E(0) = 1, inside, at
+    the puncture, and its only poles are the zeros of the operator image
+    G.  So F has a zero in 0 < |z| <= r_max iff e is outside the
     region at a sample of |z| = r_max (grid.angles of them; grid.radii and
     grid.boundary_x are not used), or G has a zero inside (`_image_zeros`:
     a winding other than -1 that a located zero backs).  On the rays to
@@ -833,23 +834,21 @@ def check_convolution(
     _require_which(which)
     if isinstance(spec.theta, PolynomialTheta) and len(_trimmed_coefficients(spec.theta)) == 1:
         raise InconclusiveError("the target is constant: every boundary direction is degenerate")
-    s_base, s_dir = _convolution_series(f, spec, which)
+    g = _convolution_image(f, spec)
     zs = grid.circle_points()
-    base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
+    values = evaluate_grid(g, zs, 1)
+    base, dirv = _convolution_pair(which, values)
     inner, outer = _annulling_points(spec, base, dirv, which)
-    outside = ~(_inside_indicator(inner) < 0.0)
-    table = _jet_table((s_base, s_dir), 2)
-    x = _circle_direction(outer)
-    ends, x_ends = zs[outside], x[outside]
-    if len(ends) == 0:
-        s_pole, g = (s_base - s_dir, base - dirv) if which == "t1" else (s_dir, dirv)
-        ends = _image_zeros(s_pole, zs, g, grid.r_max)
-        if len(ends) > 0:
-            b, d = np.array([_series_at(table, z)[:2] for z in ends.tolist()]).T
-            x_ends = _circle_direction(_annulling_points(spec, b, d, which)[1])
-    skipped = 0
+    outside = ~(np.abs(inner) < 1.0)  # `_inside_indicator` not negative
+    table = _jet_table(g, 3)
+    if len(ends := zs[outside]) > 0:
+        outer = outer[outside]
+    elif len(ends := _image_zeros(g, 0, zs, values, grid.r_max)) > 0:
+        b, d = np.array([_convolution_pair(which, _series_at(table, z)) for z in ends.tolist()]).T
+        outer = _annulling_points(spec, b, d, which)[1]
+    x, skipped = _circle_direction(outer), 0
     if len(ends) > 0:
-        best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x_ends, grid)
+        best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x, grid)
     else:
         t, size, skipped = _direction_minima(spec, which, base, dirv, x)
         i = int(np.argmin(size))
@@ -858,15 +857,8 @@ def check_convolution(
             val, z_ref, x_ref, _ = _polish_minimum(table, spec, which, best_z, best_x, grid.r_max)
             if val < best_val:
                 best_val, best_z, best_x = val, z_ref, x_ref
-
-    return MembershipReport(
-        verdict="member" if best_val >= grid.min_modulus else "non-member",
-        margin=best_val,
-        witness_z=best_z,
-        witness_x=best_x,
-        method=f"conv_{which}",
-        skipped=skipped,
-    )
+    verdict = "member" if best_val >= grid.min_modulus else "non-member"
+    return MembershipReport(verdict, best_val, best_z, best_x, f"conv_{which}", skipped)
 
 
 def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, which: str):
@@ -874,7 +866,7 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     w = _weight_at(spec, x, which)
     if z == 0:
         raise PoleError("the convolution has a pole at z = 0")
-    b, d = _series_at(_jet_table(_convolution_series(f, spec, which), 0), complex(z))
+    b, d = _convolution_pair(which, _series_at(_jet_table(_convolution_image(f, spec), 3), complex(z)))
     return b + w * d
 
 

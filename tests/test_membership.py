@@ -1,5 +1,4 @@
 import cmath
-import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -187,64 +186,68 @@ class TestTargetRegion:
         assert not outside and margin < 0
 
 
-def _same_roots(a, b, tol, relative=False):
-    """Root multisets agree: some pairing of a and b is within tol everywhere
-    (within tol * max(1, |y|) for each reference root y if `relative`)."""
-
-    def err(x, y):
-        return abs(x - y) / (max(1.0, abs(y)) if relative else 1.0)
-
-    return len(a) == len(b) and min(
-        max(err(x, y) for x, y in zip(a, perm)) for perm in itertools.permutations(b)
-    ) <= tol
-
-
 # degrees 1, 2 and 3: the targets of the closed forms
 _CLOSED_FORM_TARGETS = [(1.0, 0.4), (1.0, 0.4, 0.1), (1.0, 0.5 + 0.2j, 0.05, -0.03j)]
 
 
+def _nearest(got, reference, tol, relative=False):
+    """Each row of `got` (the root nearest the origin, then the root whose
+    modulus is nearest 1) is within tol of a root of its `reference` row
+    (within tol * max(1, |y|) if `relative`) whose own distance, |y| or
+    ||y| - 1|, is the row's least within that tolerance."""
+    for row, ref in zip(np.asarray(got).T, reference):
+        for x, key in zip(row, (np.abs(ref), np.abs(np.abs(ref) - 1.0))):
+            err = np.abs(ref - x) / (np.maximum(1.0, np.abs(ref)) if relative else 1.0)
+            k = int(np.argmin(err))
+            slack = tol * (max(1.0, abs(ref[k])) if relative else 1.0)
+            if not (err[k] <= tol and key[k] <= key.min() + 2.0 * slack):
+                return False
+    return True
+
+
 class TestPreimage:
+    """`_preimage_roots` returns the root nearest the origin and, with
+    `outer`, the root whose modulus is nearest 1, per offset."""
+
     def test_matches_per_point_roots(self, rng):
         for degree in (1, 2, 3, 4):
             for _ in range(3):
                 tail = 0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
                 coefficients = (1.0,) + tuple(tail)
                 t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-                roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-                assert roots.shape == (40, degree)
-                reference = preimage_roots_reference(coefficients, t)
-                for got, ref in zip(roots, reference):
-                    assert _same_roots(got, ref, 1e-10)
+                roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+                assert roots.shape == (2, 40)
+                inner = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+                assert np.array_equal(inner, roots[0])
+                assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10)
 
     def test_trailing_zero_lowers_degree(self, rng):
         coefficients = (1.0, 0.4, 0.0)
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-        assert roots.shape == (20, 1)
-        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
-            assert _same_roots(got, ref, 1e-10)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+        assert roots.shape == (2, 20) and np.array_equal(roots[0], roots[1])
+        assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10)
 
     def test_t0_gives_root_at_origin(self):
         for coefficients in _CLOSED_FORM_TARGETS:
-            roots = _preimage_roots(PolynomialTheta(coefficients), [0.0])
-            (ref,) = preimage_roots_reference(coefficients, [1.0])
-            assert _same_roots(roots[0], ref, 1e-10)
-            assert np.min(np.abs(roots[0])) == 0.0
+            roots = _preimage_roots(PolynomialTheta(coefficients), [0.0], outer=True)
+            assert _nearest(roots, preimage_roots_reference(coefficients, [1.0]), 1e-10)
+            assert roots[0, 0] == 0.0
 
     def test_nonfinite_t_rows_are_inf(self):
         t = np.array([0.5, np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf), 2.0j])
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-            assert roots.shape == (5, len(coefficients) - 1)
-            assert np.all(np.isinf(roots[1:4]))
-            assert np.all(np.isfinite(roots[[0, 4]]))
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+            assert roots.shape == (2, 5)
+            assert np.all(np.isinf(roots[:, 1:4]))
+            assert np.all(np.isfinite(roots[:, [0, 4]]))
 
     def test_overflowing_modulus_rows_are_inf(self):
         # each part of the constant term (t - 1)/t_M is finite, its modulus is not
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
             t = np.array([-coefficients[-1] * 1.5e308 * (1.0 + 1.0j), 0.5])
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-            assert np.all(np.isinf(roots[0])) and np.all(np.isfinite(roots[1]))
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+            assert np.all(np.isinf(roots[:, 0])) and np.all(np.isfinite(roots[:, 1]))
 
     # degrees 1-3 are solved in closed form, degree 4 by companion eigenvalues
 
@@ -253,10 +256,24 @@ class TestPreimage:
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
         for scale in (1e100, 1e300):
             t = scale * np.exp(2j * np.pi * rng.uniform(size=8))
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
             assert np.all(np.isfinite(roots))
-            for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
-                assert _same_roots(got, ref, 1e-10, relative=True)
+            assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10, relative=True)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3, 4])
+    def test_rows_do_not_depend_on_the_batch(self, rng, degree):
+        # rows at most the frame's limit are solved as they are, so a
+        # non-finite row, or one scaled above the limit, changes no other
+        # row's roots, and each row is its roots solved alone, bit for bit
+        coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
+        theta = PolynomialTheta(coefficients)
+        u = 2.0 * (rng.normal(size=24) + 1j * rng.normal(size=24))
+        clean = _preimage_roots(theta, u, outer=True)
+        for extra in ([np.inf], [1e305j], [complex(np.nan, 1.0), -1e303, 1e302]):
+            mixed = _preimage_roots(theta, np.concatenate([extra, u, extra]), outer=True)
+            assert np.array_equal(mixed[:, len(extra) : -len(extra)], clean)
+        for k in range(len(u)):
+            assert np.array_equal(_preimage_roots(theta, u[k : k + 1], outer=True)[:, 0], clean[:, k])
 
     def test_closed_forms_are_backward_stable(self, rng):
         # |Theta(x) - t| relative to sum |t_k x^k| + |t| stays at a few
@@ -267,18 +284,17 @@ class TestPreimage:
             for _ in range(200):
                 coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
                 t = 2.0 * (rng.normal(size=50) + 1j * rng.normal(size=50))
-                x = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+                x = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
                 poly = np.array(coefficients[::-1])
-                scale = np.polyval(np.abs(poly), np.abs(x)) + np.abs(t)[:, None]
-                worst = max(worst, np.max(np.abs(np.polyval(poly, x) - t[:, None]) / scale))
+                scale = np.polyval(np.abs(poly), np.abs(x)) + np.abs(t)
+                worst = max(worst, np.max(np.abs(np.polyval(poly, x) - t) / scale))
             assert worst <= 2e-15
 
     def test_tiny_leading_coefficient(self, rng):
         coefficients = (1.0, 0.4, 1e-12)  # one root near -2.5, one near -4e11
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
-            assert _same_roots(got, ref, 1e-10, relative=True)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+        assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10, relative=True)
 
     @pytest.mark.parametrize("coefficients", _CLOSED_FORM_TARGETS[1:])
     def test_near_critical_value(self, coefficients):
@@ -287,16 +303,17 @@ class TestPreimage:
         poly = np.array(coefficients[::-1], dtype=complex)
         for zeta in np.roots(np.polyder(poly)):
             t = np.polyval(poly, zeta) + 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-            for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
-                assert _same_roots(got, ref, 1e-8, relative=True)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+            assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-8, relative=True)
 
     def test_degree_four_is_the_companion_eigenvalue_solve(self, rng):
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4)))
         t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
-            assert np.array_equal(got, ref)  # same matrices, same LAPACK call
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+        for got, ref in zip(roots.T, preimage_roots_reference(coefficients, t)):
+            # same matrices, same LAPACK call
+            size = np.abs(ref)
+            assert got[0] == ref[np.argmin(size)] and got[1] == ref[np.argmin(np.abs(size - 1.0))]
 
 
 class TestPhaseRatio:
@@ -410,16 +427,48 @@ class TestDirectOnCircle:
     # the operator is the identity on 1/z + c_0 + c_1 z
     _PARAMS = BMLParams(1.0, 1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize("method", ["direct", "t1", "t2"])
     @pytest.mark.parametrize("kind", ["spirallike", "convex"])
-    def test_member_evaluates_one_circle_per_series(self, monkeypatch, kind):
-        # the phase ratio of a member needs P and z P' at the circle samples,
-        # nothing else: no interior radius, no winding recount
-        values = _counted(monkeypatch, "evaluate_grid")
+    def test_member_evaluates_the_image_on_the_circle_once(self, monkeypatch, kind, method):
+        # every check reads the operator image G (of f, or of -z f' for a
+        # convolution check of the convex kind) at the circle samples only
+        # through its jets D^j G, all from one `evaluate_grid` call: no other
+        # series, no interior radius, no winding recount
+        calls, evaluate_grid_ = [], membership.evaluate_grid
+
+        def recorded(f, zs, derivatives=0):
+            calls.append((f, zs, derivatives))
+            return evaluate_grid_(f, zs, derivatives)
+
+        monkeypatch.setattr(membership, "evaluate_grid", recorded)
         grid = GridSpec()
         spec = _spec(0.2, 0.6, -0.4, kind=kind, params=self._PARAMS)
-        rep = check_direct(SigmaSeries(1.0, [0.0, 0.04, 0.02j]), spec, grid)
+        f = SigmaSeries(1.0, [0.0, 0.04, 0.02j])
+        if method == "direct":
+            rep, image, jets = check_direct(f, spec, grid), f, 1 + (kind == "convex")
+        else:
+            rep, jets = check_convolution(f, spec, grid, method), 1
+            image = alexander(f) if kind == "convex" else f
         assert rep.is_member
-        assert [len(v) for v in values] == [grid.angles, grid.angles]
+        ((g, zs, derivatives),) = calls
+        expected = apply_operator(image, build_kernel(self._PARAMS, image.order))
+        assert g.principal == expected.principal and np.array_equal(g.tail, expected.tail)
+        assert np.array_equal(zs, grid.circle_points()) and derivatives == jets
+
+    def test_exact_zero_of_the_image_at_a_sample(self):
+        # the `bml check` defaults on f = 1/z - 1/0.99: G vanishes exactly at
+        # the sample z = 0.99, where the winding's ratio of neighbours is
+        # not finite.  That sample is a located zero of G on |z| = r_max, so
+        # the direct check reaches the pole witness, with no warning
+        f, spec, grid = SigmaSeries(1.0, [-1.0 / 0.99]), _spec(params=self._PARAMS), GridSpec()
+        _, _, _, _, (g, _) = membership.phase_grid(f, spec, grid.circle_points(), grid.min_modulus)
+        assert g[0] == 0.0
+        rep = check_direct(f, spec, grid)
+        assert rep.verdict == "non-member" and rep.skipped == 1 and -0.7 < rep.margin < -0.68
+        _assert_direct_witness(f, spec, grid, rep)
+        for which in ("t1", "t2"):
+            with pytest.raises(InconclusiveError):
+                check_convolution(f, spec, grid, which)
 
     @pytest.mark.parametrize(
         "lam,s,tail,kind",
@@ -742,6 +791,17 @@ def _newton_stays(jet, rho, t, r_max):
     return rho, t, (math.inf if undefined else abs(f)), (0.0 if undefined else scale), 0
 
 
+def _convolution_series(f, spec, which):
+    """The (base, dir) series pair of the convolution value base + W dir,
+    built from its coefficients: (n + 1) g_n and n g_n for t1, z G' and G
+    for t2, with G the operator image of f (of -z f' for the convex kind)."""
+    g = membership._convolution_image(f, spec)
+    n = np.arange(1, g.order + 1)
+    if which == "t1":
+        return SigmaSeries(1.0, (n + 1) * g.tail), SigmaSeries(0.0, n * g.tail)
+    return z_fprime(g), g
+
+
 class TestProvenZero:
     @pytest.mark.parametrize("newton", ["real", "stays"])
     @pytest.mark.parametrize("which", ["t1", "t2"])
@@ -758,7 +818,7 @@ class TestProvenZero:
         f = SigmaSeries(1.0, tail)
         spec = ClassSpec(0.0, PolynomialTheta((1.0, slope)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
-        s_base, s_dir = membership._convolution_series(f, spec, which)
+        s_base, s_dir = _convolution_series(f, spec, which)
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         inner, _ = membership._annulling_points(spec, base, dirv, which)
@@ -793,9 +853,7 @@ class TestProvenZero:
         if newton == "real":
             # Newton goes on from its best iterate until |F| is at rounding,
             # |F| <= 4 eps (|B| + |W D|), though its start is far from the zero
-            b, d = membership._series_at(
-                membership._jet_table(membership._convolution_series(f, spec, which), 0), rep.witness_z
-            )
+            b, d = (evaluate(s, rep.witness_z) for s in _convolution_series(f, spec, which))
             w, _ = membership._direction_weights(spec, np.array([rep.witness_x]), which)
             scale = abs(b) + abs(w[0] * d)
             assert rep.margin <= 4 * np.finfo(float).eps * scale
@@ -923,7 +981,7 @@ class TestPolishMinimum:
     def test_torus_jet_matches_central_differences(self, theta, which):
         spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
-        table = membership._jet_table(membership._convolution_series(f, spec, which), 2)
+        table = membership._jet_table(membership._convolution_image(f, spec), 3)
 
         def jet(phi, t, rho=0.9, order=2):
             z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
@@ -974,7 +1032,7 @@ class TestPolishMinimum:
             rep = check_convolution(f, spec, grid, which)
             assert rep.is_member
             assert abs(rep.witness_z) == pytest.approx(grid.r_max, rel=1e-15)
-            s_base, s_dir = membership._convolution_series(f, spec, which)
+            s_base, s_dir = _convolution_series(f, spec, which)
 
             def modulus(zs, ts):
                 ws, skip = membership._direction_weights(spec, np.exp(1j * ts), which)
@@ -1007,10 +1065,10 @@ class TestPolishMinimum:
         # is negative in the direction angle, so a start there must move off
         spec = ClassSpec(0.0, PolynomialTheta((1.0, 0.5, 0.05, 0.01)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
-        table = membership._jet_table(membership._convolution_series(SigmaSeries(1.0, []), spec, "t2"), 2)
+        table = membership._jet_table(membership._convolution_image(SigmaSeries(1.0, []), spec), 3)
         val, _, _, steps = membership._polish_minimum(table, spec, "t2", grid.r_max, 1.0, grid.r_max)
         ws, skip = membership._direction_weights(spec, _directions(4096), "t2")
-        b, d, *_ = membership._series_at(table, complex(grid.r_max))
+        b, d = membership._convolution_pair("t2", membership._series_at(table, complex(grid.r_max)))
         dense = np.abs(b + ws * d)[~skip].min()  # 0.4646, near x = -1
         assert val <= dense and steps < _NEWTON_STEPS
 
@@ -1050,7 +1108,8 @@ class TestSecantZero:
     )
     def test_matches_80_step_bisection_in_few_calls(self, fast_grid, theta):
         spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
-        s_base, s_dir = membership._convolution_series(SigmaSeries(1.0, [0.0, 4.0]), spec, "t1")
+        f = SigmaSeries(1.0, [0.0, 4.0])
+        s_base, s_dir = _convolution_series(f, spec, "t1")
         zs = fast_grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         # a non-member: the radii [0, z_k] of its outside samples bracket a zero
@@ -1058,10 +1117,11 @@ class TestSecantZero:
         zb = zs[~(membership._inside_indicator(inner) < 0.0)]
         za, fa = np.zeros(len(zb), dtype=complex), np.full(len(zb), -1.0)
         assert len(zb) > 0
-        table = membership._jet_table((s_base, s_dir), 0)
+        table = membership._jet_table(membership._convolution_image(f, spec), 1)
 
         def at(mid):
-            values = np.array([membership._series_at(table, z) for z in mid.tolist()]).T
+            jets = [membership._series_at(table, z) for z in mid.tolist()]
+            values = np.array([membership._convolution_pair("t1", g) for g in jets]).T
             return membership._inside_indicator(membership._annulling_points(spec, *values, "t1")[0])
 
         ref = bisect_reference(at, za, zb, fa)
@@ -1128,7 +1188,7 @@ class TestDirectionMinima:
         annulling directions its member path starts from."""
         spec = ClassSpec(lam, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, list(tail))
-        s_base, s_dir = membership._convolution_series(f, spec, which)
+        s_base, s_dir = _convolution_series(f, spec, which)
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         x = membership._circle_direction(membership._annulling_points(spec, base, dirv, which)[1])
@@ -1400,6 +1460,45 @@ def test_methods_agree_on_univalent_polynomial_classes(univalent_polynomial_clas
     assert disagreements == []
 
 
+@st.composite
+def _drawn_classes(draw):
+    """A class on a univalent polynomial target of degree 2 or 3 (drawn as
+    `_univalent_polynomial` draws it) or on a Janowski target, either kind,
+    with a member rebuilt from a Schwarz function whose coefficient moduli
+    sum to rho < 1 and a non-member constructed from it."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        theta = PolynomialTheta(_univalent_polynomial(rng, draw(st.sampled_from([2, 3]))))
+    else:
+        B = draw(st.sampled_from([-1.0, None])) or draw(st.floats(-0.9, 0.7))
+        theta = JanowskiTheta(draw(st.floats(B + 0.1, 1.0)), B)
+    kind = draw(st.sampled_from(["spirallike", "convex"]))
+    params = BMLParams(
+        draw(st.floats(0.8, 1.5)), draw(st.floats(0.5, 2.0)), draw(st.floats(0.5, 3.0)), draw(st.floats(0.0, 2.0))
+    )
+    spec = ClassSpec(draw(st.floats(-1.2, 1.2)), theta, kind, params)
+    weights = rng.uniform(0.2, 1.0, size=2)
+    omega = draw(st.floats(0.3, 0.7)) * weights / weights.sum() * np.exp(1j * rng.uniform(-np.pi, np.pi, size=2))
+    omega = SchwarzSpec(((0.0,) if kind == "convex" else ()) + tuple(omega))
+    member = reconstruct_f(spec, omega, build_kernel(params, 32), 32, kind)
+    return spec, member, construct_nonmember(member, spec, GridSpec(radii=(0.99,), angles=16))
+
+
+@given(drawn=_drawn_classes())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_methods_agree_on_drawn_classes(drawn):
+    """Direct, t1, t2 and (convex) Alexander verdicts agree with the label
+    on drawn polynomial and Janowski classes, members and non-members."""
+    spec, member, nonmember = drawn
+    grid = GridSpec()
+    for f, label in ((member, "member"), (nonmember, "non-member")):
+        verdicts = [check_direct(f, spec, grid).verdict]
+        verdicts += [check_convolution(f, spec, grid, which).verdict for which in ("t1", "t2")]
+        if spec.kind == "convex":
+            verdicts.append(check_alexander(f, spec, grid).verdict)
+        assert verdicts == [label] * len(verdicts)
+
+
 def test_newton_locates_the_zeros_of_univalent_polynomial_nonmembers(
     univalent_polynomial_classes, monkeypatch
 ):
@@ -1477,7 +1576,7 @@ def _batch_zero_witness(table, spec, which, ends, x, grid):
 
 def _at_the_floor(table, spec, which, size, z, x):
     """Whether |F| = size at (z, x) is at most 4 eps (|B| + |W D|)."""
-    b, d, *_ = membership._series_at(table, z)
+    b, d = membership._convolution_pair(which, membership._series_at(table, z))
     w, _ = membership._direction_weights(spec, np.array([x]), which)
     return size <= 4 * np.finfo(float).eps * (abs(b) + abs(w[0] * d))
 
@@ -1665,7 +1764,7 @@ def test_zero_search_work_when_rays_miss_the_floor(monkeypatch, which):
 
 def _grid_reference(f, spec, grid, which):
     """The convolution verdict decided over the whole polar grid of `grid`."""
-    s_base, s_dir = membership._convolution_series(f, spec, which)
+    s_base, s_dir = _convolution_series(f, spec, which)
 
     def values(zs):
         return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
@@ -1747,11 +1846,12 @@ def _oracle_members(seed, count, order=64):
 def _dense_torus_minimum(f, spec, grid, which, n_dirs=4096):
     """The smallest |F| of a dense scan of the grid.angles circle samples
     times `n_dirs` directions, lowered by `_polish_minimum` from its argmin."""
-    s_base, s_dir = membership._convolution_series(f, spec, which)
+    g = membership._convolution_image(f, spec)
     zs, xs = grid.circle_points(), _directions(n_dirs)
     ws, skip = membership._direction_weights(spec, xs, which)
-    value, i, j = dense_scan_minimum(evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs), ws, skip)
-    table = membership._jet_table((s_base, s_dir), 2)
+    base, dirv = membership._convolution_pair(which, evaluate_grid(g, zs, 1))
+    value, i, j = dense_scan_minimum(base, dirv, ws, skip)
+    table = membership._jet_table(g, 3)
     return min(value, membership._polish_minimum(table, spec, which, zs[i], xs[j], grid.r_max)[0])
 
 
