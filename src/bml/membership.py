@@ -260,13 +260,13 @@ _NO_ROWS = np.empty(0, dtype=int)
 @lru_cache(maxsize=16)
 def _monic_frame(theta: PolynomialTheta):
     """(-t_M, hi, fixed, limit): (Theta(x) - 1 - u)/t_M = x^M + hi[0] x^(M-1)
-    + ... + c0, c0 = u/(-t_M), hi Python complex numbers of Fujiwara bound
-    `fixed`; rows with |c0| < limit (and fixed^M) are solved unscaled."""
+    + ... + c0 with c0 = u/(-t_M), hi of Fujiwara bound `fixed`; rows with
+    |c0| < limit are solved unscaled (none where fixed^M exceeds _LARGE)."""
     co = _trimmed_coefficients(theta)
     hi = (co[-2:0:-1] / co[-1]).tolist()
     fixed = max((abs(a) ** (1.0 / j) for j, a in enumerate(hi, 1)), default=0.0)
     m = len(hi) + 1
-    limit = (_LARGE if fixed**m <= _LARGE else -1.0) if m in (2, 3) else math.inf
+    limit = (_LARGE if fixed <= _LARGE ** (1.0 / m) else -1.0) if m in (2, 3) else math.inf
     return complex(-co[-1]), hi, fixed, limit
 
 
@@ -301,7 +301,7 @@ def _preimage_roots(theta: PolynomialTheta, u, outer: bool = False) -> np.ndarra
                 inv, coef = 1.0 / s, [*hi, c0[rows]]
                 for j in range(m):  # coefficient k is divided by s^(k+1), exactly
                     coef[j:] = [c * inv for c in coef[j:]]
-                roots[:, rows] = _monic_roots(coef[:-1], coef[-1], outer) * s
+                roots[:, rows] = _monic_roots(coef[:-1], coef[-1], outer, inv) * s
         else:
             comp = np.zeros((len(c0), m, m), dtype=complex)
             comp[:, 0, :-1], comp[:, 0, -1] = -np.array(hi), -c0
@@ -312,24 +312,24 @@ def _preimage_roots(theta: PolynomialTheta, u, outer: bool = False) -> np.ndarra
     return roots if outer else roots[0]
 
 
-def _nearest(y: np.ndarray, outer: bool) -> np.ndarray:
-    """Per column of y, the entry of least modulus (with `outer`, then the one of modulus nearest 1)."""
+def _nearest(y: np.ndarray, outer: bool, unit=1.0) -> np.ndarray:
+    """Per column of y, the entry of least modulus (with `outer`, then the one of modulus nearest `unit`)."""
     size = np.abs(y)
-    pick = [size.argmin(axis=0), np.abs(size - 1.0).argmin(axis=0)][: 1 + outer]
+    pick = [size.argmin(axis=0), np.abs(size - unit).argmin(axis=0)][: 1 + outer]
     return y[pick, np.arange(y.shape[1])]
 
 
-def _monic_roots(hi, c0, outer: bool) -> np.ndarray:
-    """`_nearest` of the roots of x^M + hi[0] x^(M-1) + ... + c0, M = 2, 3,
-    per c0, each polished by one Newton step where that is finite: the
-    quadratic formula with its square root signed against cancellation (so
-    c0/q is the smaller root), or Cardano's formula with the larger cube."""
+def _monic_roots(hi, c0, outer: bool, unit=1.0) -> np.ndarray:
+    """`_nearest` (`unit`: modulus 1 in the caller's frame) of the roots of
+    x^M + hi[0] x^(M-1) + ... + c0, M = 2, 3, each polished by one Newton
+    step where finite: the quadratic formula, its square root signed against
+    cancellation (c0/q is the smaller root), or Cardano's with the larger cube."""
     if len(hi) == 1:
         (b,) = hi
         d = np.sqrt(b * b - 4.0 * c0)
         q = -0.5 * b - d * np.copysign(0.5, (d * np.conjugate(b)).real)
         x = c0 / q  # 0/0 only where c0 = b = 0
-        x = np.stack([x, np.where(np.abs(q) + np.abs(x) < 2.0, q, x)]) if outer else x[None]
+        x = np.stack([x, np.where(np.abs(q) + np.abs(x) < 2.0 * unit, q, x)]) if outer else x[None]
     else:
         a3, b = hi[0] / 3.0, hi[1]
         p = b - hi[0] * a3
@@ -338,7 +338,7 @@ def _monic_roots(hi, c0, outer: bool) -> np.ndarray:
         cube = h + r * np.copysign(1.0, (h * np.conjugate(r)).real)
         w = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
         v = np.where(w == 0.0, 0.0, p / 3.0 / w)  # w = 0 only where p = 0
-        x = _nearest(w * _CUBE_ROOTS_OF_UNITY - v * _CUBE_ROOTS_OF_UNITY.conjugate() - a3, outer)
+        x = _nearest(w * _CUBE_ROOTS_OF_UNITY - v * _CUBE_ROOTS_OF_UNITY.conjugate() - a3, outer, unit)
     val = x + hi[0]
     der = x + val  # Horner's rule for the value and the derivative
     for c in hi[1:]:
