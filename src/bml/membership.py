@@ -1,29 +1,28 @@
 """Membership verdicts for the spirallike and convex subordination classes.
 
 A class is described by a spiral angle, a boundary target (Möbius or
-polynomial), the operator parameters, and a kind.  Membership of a
-series f is decided three independent ways, each reading the operator
-image G on |z| = r_max only through its jets D^j G (D = z d/dz), all from
-one FFT:
+polynomial), the operator parameters, and a kind.  Every check reads the
+operator image G of f, or of -z f' for the convex kind (f is convex-type
+iff -z f' is spirallike-type), on |z| = r_max only through G and z G' from
+one FFT.  Membership is decided two independent ways (``check_alexander``,
+the transform route of a convex query, is ``check_direct`` renamed):
 
-* ``check_direct`` decides whether the phase ratio q of G maps the disc
+* ``check_direct`` decides whether the phase ratio q = z G'/G maps the disc
   into the target region (range containment is subordination, as the
   target is univalent and both sides agree at the origin; a polynomial
   target whose derivative vanishes in the disc is refused): q is inside at
-  every circle sample, and the series whose zeros are the poles of q winds
-  -1 times about 0.  For a polynomial target, w is inside exactly when the
+  every circle sample, and G, whose zeros are the poles of q, winds -1
+  times about 0.  For a polynomial target, w is inside exactly when the
   root of Theta(x) = theta_need(w) nearest the origin lies in the unit
   disc, the one root solved per sample (closed forms up to degree 3);
 * ``check_convolution`` decides whether a convolution indexed by boundary
   directions vanishes in the punctured disc: a sample whose annulling
-  value leaves the target region, or a winding of G other than -1, proves
-  a zero, which Newton's method on it locates ray by ray (the first ray
-  also from a bracketed sign change of the inside indicator); else
-  Newton's method in the direction angle, at every circle sample from its
-  annulling direction, and then in both angles finds the minimum modulus
-  on the torus (no direction is sampled);
-* ``check_alexander`` reroutes a convex query through the spirallike
-  check of -z f'.
+  value -z G'/G (one for t1 and t2) leaves the target region, or a
+  winding of G other than -1, proves a zero, which Newton's method on it
+  locates ray by ray (the first ray also from a bracketed sign change of
+  the inside indicator); else Newton's method in the direction angle, at
+  every circle sample from its annulling direction, and then in both
+  angles finds the minimum modulus on the torus (no direction is sampled).
 
 All reports carry the margin, the witness point(s) and a skip count, so
 callers can re-evaluate and tighten.
@@ -397,16 +396,15 @@ def _cached_kernel(params: BMLParams, order: int):
     return build_kernel(params, order)
 
 
-def _bml_image(f: SigmaSeries, params: BMLParams) -> SigmaSeries:
-    """Operator image of f, truncated where the weights leave the Gamma range.
-
-    Weights past that point underflow to zero anyway, so the truncation
-    is the numerically exact image.
-    """
-    order = min(f.order, max_kernel_order(params))
+def _image(f: SigmaSeries, spec: ClassSpec) -> SigmaSeries:
+    """The operator image G that every check reads: of f, or of -z f' for
+    the convex kind, truncated where the weights leave the Gamma range
+    (past it they underflow to zero anyway: the numerically exact image)."""
+    f = alexander(f) if spec.kind == "convex" else f
+    order = min(f.order, max_kernel_order(spec.params))
     if order < 1:
         return SigmaSeries(f.principal, np.zeros(0, dtype=complex))
-    return apply_operator(f, _cached_kernel(params, order))
+    return apply_operator(f, _cached_kernel(spec.params, order))
 
 
 def phase_ratio(
@@ -415,12 +413,10 @@ def phase_ratio(
     z: complex,
     min_modulus: float = DEFAULT_MIN_MODULUS,
 ) -> complex:
-    """Quantity whose subordination to `target_value` defines membership.
-
-    Spirallike kind: z G'(z)/G(z); convex kind: 1 + z G''(z)/G'(z), where
-    G is the operator image of f.  Derivatives are taken exactly on the
-    truncated series; the value is `phase_grid`'s at the one point z.
-    """
+    """Quantity whose subordination to `target_value` defines membership:
+    z G'/G for the image G of f, or of -z f' for the convex kind (there
+    1 + z g''/g' for the image g of f), exact on the truncated series: the
+    value of `phase_grid` at the one point z."""
     if z == 0:
         raise PoleError("the phase ratio has a pole at z = 0")
     q, skip, *_ = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
@@ -430,16 +426,13 @@ def phase_ratio(
 
 
 def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):
-    """Vectorized phase ratios q = z P'/P, the mask of singular sample
-    points, the operator image G, j and (P, z P') at zs from one
-    `evaluate_grid` of G: P = D^j G (D = z d/dz), whose zeros are the poles
-    of q, is G (j = 0, spirallike) or z G' (j = 1, convex, q = 1 + (z P' - P)/P)."""
-    g = _bml_image(f, spec.params)
-    j = int(spec.kind == "convex")
-    den, num = values = evaluate_grid(g, zs, j + 1)[j:]
-    skip = np.abs(den) < min_modulus
-    q = (num - den if j else num) / np.where(skip, 1.0, den)
-    return (1.0 + q if j else q), skip, g, j, values
+    """Vectorized phase ratios q = z G'/G of the image G (`_image`), the
+    mask of singular sample points, G, and (G, z G') at zs from one
+    `evaluate_grid`: the zeros of G are the poles of q."""
+    g = _image(f, spec)
+    values = evaluate_grid(g, zs, 1)
+    skip = np.abs(values[0]) < min_modulus
+    return values[1] / np.where(skip, 1.0, values[0]), skip, g, values
 
 
 # ---------------------------------------------------------------------------
@@ -453,10 +446,10 @@ def _require_sigma(f: SigmaSeries):
 
 def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipReport:
     """Subordination test on |z| = r_max: member iff the phase ratio
-    q = z P'/P (`phase_grid`) is in the target region at the grid.angles
-    samples of the circle (grid.radii is not used) and P winds -1 times
+    q = z G'/G (`phase_grid`) is in the target region at the grid.angles
+    samples of the circle (grid.radii is not used) and G winds -1 times
     about 0 along it.  q tends to -1 = Phi(0) at 0, and its poles, the
-    zeros of P, leave the region; with none, q is analytic on the disc, so
+    zeros of G, leave the region; with none, q is analytic on the disc, so
     by the argument principle it maps the disc into the simply connected
     region iff it maps the circle into it.  The margin is the smallest over
     the circle samples, the disc minimum for a Janowski target (its margin
@@ -466,26 +459,26 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
     _require_sigma(f)
     _require_univalent(spec.theta)
     zs = grid.circle_points()
-    q, skip, g, j, values = phase_grid(f, spec, zs, grid.min_modulus)
+    q, skip, g, values = phase_grid(f, spec, zs, grid.min_modulus)
     skipped = int(skip.sum())
     if skipped > 0.01 * len(zs):
         raise InconclusiveError(f"{skipped} of {len(zs)} samples were singular; verdict withheld")
     margins = np.where(skip, np.inf, region_margins(spec, q))
     idx = int(np.argmin(margins))
     margin, witness = float(margins[idx]), complex(zs[idx])
-    if margin > 0.0 and len(zeros := _image_zeros(g, j, zs, values, grid.r_max)):
+    if margin > 0.0 and len(zeros := _image_zeros(g, zs, values, grid.r_max)):
         margin, witness = _pole_witness(f, spec, zeros[0], grid)
     verdict = "member" if margin > 0.0 else "non-member"
     return MembershipReport(verdict, margin, witness, None, "direct", skipped)
 
 
 def check_alexander(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipReport:
-    """Convex membership via the transform route: spirallike `check_direct` of -z f'."""
+    """Convex membership via the transform route, the spirallike check of
+    -z f': that is how `check_direct` reads every convex query (`_image`),
+    so this is its report under the method name "alexander"."""
     if spec.kind != "convex":
         raise ValueError("the transform route only answers convex-kind queries")
-    spiral = replace(spec, kind="spirallike")
-    rep = check_direct(alexander(f), spiral, grid)
-    return replace(rep, method="alexander")
+    return replace(check_direct(f, spec, grid), method="alexander")
 
 
 def _pole_witness(f: SigmaSeries, spec: ClassSpec, z0: complex, grid: GridSpec):
@@ -521,10 +514,10 @@ def _weight_at(spec: ClassSpec, x: complex, which: str) -> complex:
     where it is degenerate (E(x) = 1, or a pole of Theta)."""
     _require_which(which)
     _require_on_circle(x)
-    w, skip = _direction_weights(spec, np.array([complex(x)]), which)
-    if skip[0]:
+    w, skip = _direction_weights(spec, complex(x), which)
+    if skip:
         raise DegenerateDirectionError(f"direction x = {x!r} makes the kernel singular")
-    return complex(w[0])
+    return w
 
 
 def epsilon_t1(x: complex, spec: ClassSpec) -> complex:
@@ -565,54 +558,35 @@ def _ones_where(mask, values):
     return 1.0 if mask else values
 
 
-def _weight_terms(es, bad, which: str):
-    """W, then W_1 = x dW/dx and W_2 = x d/dx W_1 as far as `es` holds E,
-    x E' and x (x E')', and the skip of degenerate directions (`bad`, or
-    |1 - E| < _DEGENERATE_TOL), arrays or Python scalars alike: the value
-    base(z) + W(x) dir(z) has W = -eps(x) = -1 - 1/(1 - E) for t1, E for t2."""
+def _direction_weights(spec: ClassSpec, x, which: str, order: int = 0):
+    """W at directions x (an array or one Python scalar), then W_1 = x dW/dx
+    and W_2 = x d/dx W_1 up to `order`, and the skip of degenerate ones (a
+    pole of Theta, or |1 - E| < _DEGENERATE_TOL): base(z) + W(x) dir(z) has
+    W = -eps(x) = -1 - 1/(1 - E) for t1, E = -Phi for t2.  E, x E', x (x E')'
+    by closed forms (Möbius) or Horner's rule over `_direction_table`."""
+    if isinstance(spec.theta, PolynomialTheta):
+        rows = iter(_direction_table(spec.theta, spec.lam))
+        es, bad = list(next(rows)[: order + 1]), False
+        for row in rows:
+            es = [e * x + c for e, c in zip(es, row)]
+    else:
+        A, B = spec.theta.A, spec.theta.B
+        bad = abs(1.0 + B * x) < 1e-14
+        den = _ones_where(bad, 1.0 + B * x)
+        rot, cos = cmath.exp(-1j * spec.lam), math.cos(spec.lam)
+        es = [rot * (cos * ((1.0 + A * x) / den) + 1j * math.sin(spec.lam))]
+        if order > 0:
+            es.append(rot * cos * x * ((A - B) / den**2))  # x dE/dx
+        if order > 1:
+            es.append(es[1] * (1.0 - B * x) / den)  # x d/dx (x dE/dx)
     skip = bad | (abs(1.0 - es[0]) < _DEGENERATE_TOL)
     if which == "t2":
         return (*es, skip)
     den = _ones_where(skip, 1.0 - es[0])
     ws = [-(2.0 - es[0]) / den, *(-e1 / (den * den) for e1 in es[1:2])]
-    if len(es) > 2:
+    if order > 1:
         ws.append((2.0 * ws[1] * es[1] - es[2] / den) / den)
     return (*ws, skip)
-
-
-def _direction_terms(spec: ClassSpec, x, order: int):
-    """E, x E' and x (x E')' up to `order` at directions x (an array or one
-    Python scalar), and the mask of poles of Theta: closed forms for a
-    Möbius target, Horner over the rows of `_direction_table` for a
-    polynomial one."""
-    if isinstance(spec.theta, PolynomialTheta):
-        es = [0j] * (order + 1)
-        for row in _direction_table(spec.theta, spec.lam):
-            es = [e * x + c for e, c in zip(es, row)]
-        return es, False
-    A, B = spec.theta.A, spec.theta.B
-    bad = abs(1.0 + B * x) < 1e-14
-    den = _ones_where(bad, 1.0 + B * x)
-    rot, cos = cmath.exp(-1j * spec.lam), math.cos(spec.lam)
-    es = [rot * (cos * ((1.0 + A * x) / den) + 1j * math.sin(spec.lam))]
-    if order > 0:
-        es.append(rot * cos * x * ((A - B) / den**2))  # x dE/dx
-    if order > 1:
-        es.append(es[1] * (1.0 - B * x) / den)  # x d/dx (x dE/dx)
-    return es, bad
-
-
-def _direction_weights(spec: ClassSpec, xs: np.ndarray, which: str, derivatives: bool = False):
-    """Per-direction weight plus the skip mask of degenerate directions
-    (`_weight_terms`); with `derivatives`, W_1 and W_2 come between W and
-    the mask."""
-    es = _direction_terms(spec, np.asarray(xs, dtype=complex), 2 if derivatives else 0)
-    return _weight_terms(*es, which)
-
-
-def _convolution_image(f: SigmaSeries, spec: ClassSpec) -> SigmaSeries:
-    """The operator image G of f (of -z f' for the convex kind): F is built from its jets."""
-    return _bml_image(alexander(f) if spec.kind == "convex" else f, spec.params)
 
 
 def _convolution_pair(which: str, jets, j: int = 0):
@@ -648,7 +622,7 @@ def _point_jet(table, spec: ClassSpec, which: str, z: complex, x: complex, order
     F_phit = -W_1 DD (d/dt = i x d/dx); dF/drho = -i F_phi/rho."""
     gs = _series_at(table, z)
     (b, d), (b1, d1), (b2, d2) = (_convolution_pair(which, gs, j) for j in range(3))
-    w, w1, *w2, skip = _weight_terms(*_direction_terms(spec, x, order), which)
+    w, w1, *w2, skip = _direction_weights(spec, x, which, order)
     hess = ((-b2 - w * d2, -w1 * d1), (-w1 * d1, -w2[0] * d)) if order > 1 else None
     return b + w * d, (1j * (b1 + w * d1), 1j * w1 * d), hess, abs(b) + abs(w * d), skip
 
@@ -667,15 +641,14 @@ def _polish_minimum(table, spec, which, z0, x0, radius):
     return val, radius * cmath.exp(1j * phi), cmath.exp(1j * t), steps
 
 
-def _annulling_points(spec: ClassSpec, base: np.ndarray, dirv: np.ndarray, which: str):
-    """Per sample, points x (not restricted to the circle) whose direction
-    annuls the convolution value: E(x) = e, with e the annulling value
-    (2 dir - base)/(dir - base) for t1 and -base/dir for t2, carried as the
-    offset e - 1 = dir/(dir - base) or -(base + dir)/dir.  Returns (inner,
-    outer): the one x of a Möbius target, or the two `_preimage_roots`."""
+def _annulling_points(spec: ClassSpec, g: np.ndarray, dg: np.ndarray):
+    """Per sample of (G, z G'), points x (not restricted to the circle) that
+    annul t1 and t2 alike: F_t2 = z G' + E G and F_t1 = -F_t2/(1 - E) vanish
+    where E(x) is the annulling value e = -z G'/G, carried as the offset
+    e - 1 = -(z G' + G)/G.  Returns (inner, outer): the one x of a Möbius
+    target, or the two `_preimage_roots`."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        d = dirv / (dirv - base) if which == "t1" else -(base + dirv) / dirv
-        u = _theta_need(spec, d)
+        u = _theta_need(spec, -(dg + g) / g)
         if isinstance(spec.theta, JanowskiTheta):
             x = u / (spec.theta.A - spec.theta.B - spec.theta.B * u)
             return x, x
@@ -721,20 +694,20 @@ def _direction_minima(spec: ClassSpec, which: str, base, dirv, x: np.ndarray):
         t = np.where(fallback, ts[np.argmin(dead)], t)
 
     def jet(t):  # F = B + W D and its t-derivatives i W_1 D, -W_2 D
-        w, w1, w2, skip = _direction_weights(spec, np.exp(1j * t), which, True)
+        w, w1, w2, skip = _direction_weights(spec, np.exp(1j * t), which, 2)
         return base + w * dirv, 1j * w1 * dirv, -w2 * dirv, skip
 
     t, size = newton_angle_minima(jet, t)
     return t, size, int(fallback.sum())
 
 
-def _image_zeros(g: SigmaSeries, j: int, zs: np.ndarray, values, r_max: float):
-    """Zeros of P = D^j G (D = z d/dz; simple pole at 0) in 0 < |z| <= r_max,
-    from values = (P, D P) at the even samples zs of |z| = r_max: the
-    samples where P is 0, if any; else none when P winds -1 times about 0,
+def _image_zeros(g: SigmaSeries, zs: np.ndarray, values, r_max: float):
+    """Zeros of G (simple pole at 0) in 0 < |z| <= r_max, from values =
+    (G, D G) (D = z d/dz) at the even samples zs of |z| = r_max: the
+    samples where G is 0, if any; else none when G winds -1 times about 0,
     else the roots of the polynomial that Newton's identities build from
-    the trapezoid means of z^p (D P/P) (Delves & Lyness, Math. Comp. 21,
-    1967), polished by `newton_zero`, that reach |P| <= 4 eps |D P|.  A
+    the trapezoid means of z^p (D G/G) (Delves & Lyness, Math. Comp. 21,
+    1967), polished by `newton_zero`, that reach |G| <= 4 eps |D G|.  A
     count that none backs may be aliased: it is taken again with 4x the
     samples, up to _RECOUNT_SAMPLES, then `InconclusiveError` is raised."""
     p, dp = values
@@ -750,10 +723,10 @@ def _image_zeros(g: SigmaSeries, j: int, zs: np.ndarray, values, r_max: float):
     for k in range(1, count + 1):
         elem.append(sum((-1) ** (i - 1) * elem[k - i] * sums[i - 1] for i in range(1, k + 1)) / k)
     z = np.roots([(-1) ** k * e for k, e in enumerate(elem)]).astype(complex)
-    table = _jet_table(g, j + 1)
+    table = _jet_table(g, 1)
 
-    def jet(rho, phi):  # P in polar coordinates; |P| <= 4 eps |D P| is |Newton step| <= 4 eps |z|
-        pz, zp = _series_at(table, rho * cmath.exp(1j * phi))[j:]
+    def jet(rho, phi):  # G in polar coordinates; |G| <= 4 eps |D G| is |Newton step| <= 4 eps |z|
+        pz, zp = _series_at(table, rho * cmath.exp(1j * phi))
         return pz, zp / rho, 1j * zp, abs(zp), not cmath.isfinite(pz)
 
     runs = (newton_zero(jet, min(abs(z0), r_max), cmath.phase(z0), r_max) for z0 in z.tolist() if z0)
@@ -763,7 +736,7 @@ def _image_zeros(g: SigmaSeries, j: int, zs: np.ndarray, values, r_max: float):
     if 4 * len(zs) > _RECOUNT_SAMPLES:
         raise InconclusiveError(f"a zero of G in |z| <= {r_max} is proven, but none was located")
     zs = circle(r_max, 4 * len(zs))
-    return _image_zeros(g, j, zs, evaluate_grid(g, zs, j + 1)[j:], r_max)
+    return _image_zeros(g, zs, evaluate_grid(g, zs, 1), r_max)
 
 
 def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
@@ -788,8 +761,7 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
         return size < grid.min_modulus and size <= _FLOOR * scale
 
     def annulling(rho):  # the inside indicator and the circle direction at rho u
-        b, d = _convolution_pair(which, _series_at(table, rho * u))
-        inner, outer = _annulling_points(spec, np.array([b]), np.array([d]), which)
+        inner, outer = _annulling_points(spec, *np.array([_series_at(table, rho * u)[:2]]).T)
         return float(_inside_indicator(inner)[0]), complex(_circle_direction(outer)[0])
 
     runs = []
@@ -814,9 +786,9 @@ def check_convolution(
 
     F_x(z) = base(z) + W(x) dir(z), with (base, dir) = (DG + 2G, DG + G)
     for t1 and (DG, G) for t2 (`_convolution_pair`), vanishes for some
-    |x| = 1 exactly when the annulling value e(z) (`_annulling_points`)
-    lies on the boundary of the target region.  e is E(0) = 1, inside, at
-    the puncture, and its only poles are the zeros of the operator image
+    |x| = 1 exactly when the annulling value e(z) = -DG/G
+    (`_annulling_points`) lies on the boundary of the target region.  e is
+    E(0) = 1, inside, at the puncture, and its only poles are the zeros of
     G.  So F has a zero in 0 < |z| <= r_max iff e is outside the
     region at a sample of |z| = r_max (grid.angles of them; grid.radii and
     grid.boundary_x are not used), or G has a zero inside (`_image_zeros`:
@@ -834,18 +806,17 @@ def check_convolution(
     _require_which(which)
     if isinstance(spec.theta, PolynomialTheta) and len(_trimmed_coefficients(spec.theta)) == 1:
         raise InconclusiveError("the target is constant: every boundary direction is degenerate")
-    g = _convolution_image(f, spec)
+    g = _image(f, spec)
     zs = grid.circle_points()
     values = evaluate_grid(g, zs, 1)
     base, dirv = _convolution_pair(which, values)
-    inner, outer = _annulling_points(spec, base, dirv, which)
+    inner, outer = _annulling_points(spec, *values)
     outside = ~(np.abs(inner) < 1.0)  # `_inside_indicator` not negative
     table = _jet_table(g, 3)
     if len(ends := zs[outside]) > 0:
         outer = outer[outside]
-    elif len(ends := _image_zeros(g, 0, zs, values, grid.r_max)) > 0:
-        b, d = np.array([_convolution_pair(which, _series_at(table, z)) for z in ends.tolist()]).T
-        outer = _annulling_points(spec, b, d, which)[1]
+    elif len(ends := _image_zeros(g, zs, values, grid.r_max)) > 0:
+        outer = _annulling_points(spec, *np.array([_series_at(table, z)[:2] for z in ends.tolist()]).T)[1]
     x, skipped = _circle_direction(outer), 0
     if len(ends) > 0:
         best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x, grid)
@@ -866,7 +837,7 @@ def convolution_value(f: SigmaSeries, spec: ClassSpec, z: complex, x: complex, w
     w = _weight_at(spec, x, which)
     if z == 0:
         raise PoleError("the convolution has a pole at z = 0")
-    b, d = _convolution_pair(which, _series_at(_jet_table(_convolution_image(f, spec), 3), complex(z)))
+    b, d = _convolution_pair(which, _series_at(_jet_table(_image(f, spec), 3), complex(z)))
     return b + w * d
 
 

@@ -1,6 +1,7 @@
 """Package layout rules that hold for every module under src/bml."""
 
 import ast
+import math
 import os
 import subprocess
 import sys
@@ -44,6 +45,37 @@ def test_every_private_top_level_name_is_used():
             defined += names
             used |= {n.id for n in ast.walk(statement) if isinstance(n, ast.Name)} - set(names)
         unused += [f"{module}: {name}" for name in defined if name not in used]
+    assert unused == []
+
+
+def test_every_private_default_is_overridden():
+    """Each defaulted parameter of a private function in src/bml is passed
+    by at least one call there (by position, by keyword, or through * or
+    **), so a knob that every caller leaves at one value fails."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    nodes = [node for tree in trees for node in ast.walk(tree)]
+    calls = {}
+    for node in nodes:
+        if isinstance(node, ast.Call):
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            calls.setdefault(name, []).append(node)
+    unused = []
+    for fn in nodes:
+        if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") or fn.name.startswith("__"):
+            continue
+        positional = fn.args.posonlyargs + fn.args.args
+        first = len(positional) - len(fn.args.defaults)
+        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+        keyword = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        defaulted += [(math.inf, a.arg) for a, d in keyword if d is not None]
+        for index, name in defaulted:
+            if not any(
+                len(call.args) > index
+                or any(isinstance(a, ast.Starred) for a in call.args)
+                or any(k.arg in (name, None) for k in call.keywords)
+                for call in calls.get(fn.name, [])
+            ):
+                unused.append(f"{fn.name}({name}=...)")
     assert unused == []
 
 

@@ -433,10 +433,10 @@ class TestDirectOnCircle:
     @pytest.mark.parametrize("method", ["direct", "t1", "t2"])
     @pytest.mark.parametrize("kind", ["spirallike", "convex"])
     def test_member_evaluates_the_image_on_the_circle_once(self, monkeypatch, kind, method):
-        # every check reads the operator image G (of f, or of -z f' for a
-        # convolution check of the convex kind) at the circle samples only
-        # through its jets D^j G, all from one `evaluate_grid` call: no other
-        # series, no interior radius, no winding recount
+        # every check reads the operator image G (of f, or of -z f' for the
+        # convex kind) at the circle samples only through G and z G', both
+        # from one `evaluate_grid` call: no other series, no interior
+        # radius, no winding recount
         calls, evaluate_grid_ = [], membership.evaluate_grid
 
         def recorded(f, zs, derivatives=0):
@@ -448,15 +448,15 @@ class TestDirectOnCircle:
         spec = _spec(0.2, 0.6, -0.4, kind=kind, params=self._PARAMS)
         f = SigmaSeries(1.0, [0.0, 0.04, 0.02j])
         if method == "direct":
-            rep, image, jets = check_direct(f, spec, grid), f, 1 + (kind == "convex")
+            rep = check_direct(f, spec, grid)
         else:
-            rep, jets = check_convolution(f, spec, grid, method), 1
-            image = alexander(f) if kind == "convex" else f
+            rep = check_convolution(f, spec, grid, method)
+        image = alexander(f) if kind == "convex" else f
         assert rep.is_member
         ((g, zs, derivatives),) = calls
         expected = apply_operator(image, build_kernel(self._PARAMS, image.order))
         assert g.principal == expected.principal and np.array_equal(g.tail, expected.tail)
-        assert np.array_equal(zs, grid.circle_points()) and derivatives == jets
+        assert np.array_equal(zs, grid.circle_points()) and derivatives == 1
 
     def test_exact_zero_of_the_image_at_a_sample(self):
         # the `bml check` defaults on f = 1/z - 1/0.99: G vanishes exactly at
@@ -464,7 +464,7 @@ class TestDirectOnCircle:
         # not finite.  That sample is a located zero of G on |z| = r_max, so
         # the direct check reaches the pole witness, with no warning
         f, spec, grid = SigmaSeries(1.0, [-1.0 / 0.99]), _spec(params=self._PARAMS), GridSpec()
-        _, _, _, _, (g, _) = membership.phase_grid(f, spec, grid.circle_points(), grid.min_modulus)
+        _, _, _, (g, _) = membership.phase_grid(f, spec, grid.circle_points(), grid.min_modulus)
         assert g[0] == 0.0
         rep = check_direct(f, spec, grid)
         assert rep.verdict == "non-member" and rep.skipped == 1 and -0.7 < rep.margin < -0.68
@@ -572,6 +572,40 @@ class TestEpsilon:
             with pytest.raises(DegenerateDirectionError):
                 convolution_value(f, spec, 0.5, 1.0, which)
 
+    @pytest.mark.parametrize("coefficients", [(1.0,), (1.0, 0.0, 0.0)], ids=["constant", "trimmed"])
+    def test_constant_target_makes_every_direction_degenerate(self, coefficients):
+        # E = 1 at every x; the weights' Horner loop starts from the
+        # target's leading row, here its only row, so W stays a Python scalar
+        spec = ClassSpec(0.2, PolynomialTheta(coefficients), "spirallike", BMLParams(1, 1, 1, 0))
+        f = SigmaSeries(1.0, [0.1, 0.05])
+        for x in (1.0, cmath.exp(0.7j), -1j):
+            with pytest.raises(DegenerateDirectionError):
+                epsilon_t1(x, spec)
+            for which in ("t1", "t2"):
+                with pytest.raises(DegenerateDirectionError):
+                    kernel_series(x, spec, 8, which)
+                with pytest.raises(DegenerateDirectionError):
+                    convolution_value(f, spec, 0.5, x, which)
+
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.6, -0.4), PolynomialTheta((1.0, 0.5, 0.1j, 0.02))], ids=["disc", "cubic"]
+    )
+    def test_weights_of_an_array_are_those_of_its_scalars(self, theta):
+        # one function serves the member path's arrays and the one-point
+        # jets' Python scalars (numpy's complex division rounds otherwise
+        # than Python's); for t2 the weight is E = -Phi itself
+        spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1, 1, 1, 0))
+        xs = _directions(16)
+        for which in ("t1", "t2"):
+            *arrays, skip = membership._direction_weights(spec, xs, which, 2)
+            assert len(arrays) == 3 and not skip.any()
+            for k, x in enumerate(xs.tolist()):
+                *scalars, dead = membership._direction_weights(spec, x, which, 2)
+                assert not dead and all(type(v) is complex for v in scalars)
+                assert all(abs(v - a[k]) <= 1e-14 * abs(v) for v, a in zip(scalars, arrays))
+            if which == "t2":
+                assert np.all(np.abs(arrays[0] + target_value(spec, xs)) <= 1e-15)
+
 
 class TestKernelSeries:
     def test_t1_tail_formula(self, rng):
@@ -617,6 +651,23 @@ class TestKernelSeries:
             # two roundings of O(n + |E|)-sized intermediates
             bound = 4e-16 * (np.arange(1, 17) + abs(e)) * np.abs(g.tail) + 1e-30
             assert np.all(np.abs(conv.tail - expected.tail) <= bound)
+
+    @pytest.mark.parametrize("kind", ["spirallike", "convex"])
+    @pytest.mark.parametrize(
+        "theta", [JanowskiTheta(0.6, -0.4), JanowskiTheta(0.2, -1.0), PolynomialTheta((1.0, 0.5, 0.1j))],
+        ids=["disc", "half-plane", "polynomial"],
+    )
+    def test_t1_is_t2_over_one_minus_e(self, rng, kind, theta):
+        # F_t1 = -F_t2/(1 - E(x)) with E = -Phi: t1 and t2 vanish together,
+        # which is why they share one annulling value -z G'/G
+        spec = ClassSpec(0.4, theta, kind, BMLParams(1.1, 0.9, 1.5, 0.5))
+        f = SigmaSeries(1.0, 0.3 * (rng.normal(size=12) + 1j * rng.normal(size=12)))
+        for _ in range(50):
+            z = complex(rng.uniform(0.05, 0.99) * np.exp(2j * np.pi * rng.uniform()))
+            x = cmath.exp(2j * np.pi * rng.uniform())
+            t1 = convolution_value(f, spec, z, x, "t1")
+            rhs = -convolution_value(f, spec, z, x, "t2") / (1.0 + target_value(spec, x))
+            assert abs(t1 - rhs) <= 1e-13 * abs(rhs)
 
     def test_scan_value_matches_literal_convolution(self, rng):
         params = BMLParams(1.0, 1.0, 1.0, 0.0)
@@ -794,11 +845,16 @@ def _newton_stays(jet, rho, t, r_max):
     return rho, t, (math.inf if undefined else abs(f)), (0.0 if undefined else scale), 0
 
 
+def _image_values(f, spec, zs):
+    """(G, z G') at zs, G the operator image of f (of -z f' for the convex kind)."""
+    return evaluate_grid(membership._image(f, spec), zs, 1)
+
+
 def _convolution_series(f, spec, which):
     """The (base, dir) series pair of the convolution value base + W dir,
     built from its coefficients: (n + 1) g_n and n g_n for t1, z G' and G
     for t2, with G the operator image of f (of -z f' for the convex kind)."""
-    g = membership._convolution_image(f, spec)
+    g = membership._image(f, spec)
     n = np.arange(1, g.order + 1)
     if which == "t1":
         return SigmaSeries(1.0, (n + 1) * g.tail), SigmaSeries(0.0, n * g.tail)
@@ -821,10 +877,8 @@ class TestProvenZero:
         f = SigmaSeries(1.0, tail)
         spec = ClassSpec(0.0, PolynomialTheta((1.0, slope)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
-        s_base, s_dir = _convolution_series(f, spec, which)
         zs = grid.circle_points()
-        base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-        inner, _ = membership._annulling_points(spec, base, dirv, which)
+        inner, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
         assert np.all(membership._inside_indicator(inner) < 0.0)
         # with Newton held at its starts, the secant locates the zero
         if newton == "stays":
@@ -984,7 +1038,7 @@ class TestPolishMinimum:
     def test_torus_jet_matches_central_differences(self, theta, which):
         spec = ClassSpec(0.3, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, [0.05, 0.02 + 0.01j, -0.01, 0.003j])
-        table = membership._jet_table(membership._convolution_image(f, spec), 3)
+        table = membership._jet_table(membership._image(f, spec), 3)
 
         def jet(phi, t, rho=0.9, order=2):
             z, x = rho * cmath.exp(1j * phi), cmath.exp(1j * t)
@@ -1068,7 +1122,7 @@ class TestPolishMinimum:
         # is negative in the direction angle, so a start there must move off
         spec = ClassSpec(0.0, PolynomialTheta((1.0, 0.5, 0.05, 0.01)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
-        table = membership._jet_table(membership._convolution_image(SigmaSeries(1.0, []), spec), 3)
+        table = membership._jet_table(membership._image(SigmaSeries(1.0, []), spec), 3)
         val, _, _, steps = membership._polish_minimum(table, spec, "t2", grid.r_max, 1.0, grid.r_max)
         ws, skip = membership._direction_weights(spec, _directions(4096), "t2")
         b, d = membership._convolution_pair("t2", membership._series_at(table, complex(grid.r_max)))
@@ -1112,20 +1166,17 @@ class TestSecantZero:
     def test_matches_80_step_bisection_in_few_calls(self, fast_grid, theta):
         spec = ClassSpec(0.1, theta, "spirallike", BMLParams(1.2, 0.8, 2.0, 1.0))
         f = SigmaSeries(1.0, [0.0, 4.0])
-        s_base, s_dir = _convolution_series(f, spec, "t1")
         zs = fast_grid.circle_points()
-        base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
         # a non-member: the radii [0, z_k] of its outside samples bracket a zero
-        inner, _ = membership._annulling_points(spec, base, dirv, "t1")
+        inner, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
         zb = zs[~(membership._inside_indicator(inner) < 0.0)]
         za, fa = np.zeros(len(zb), dtype=complex), np.full(len(zb), -1.0)
         assert len(zb) > 0
-        table = membership._jet_table(membership._convolution_image(f, spec), 1)
+        table = membership._jet_table(membership._image(f, spec), 1)
 
         def at(mid):
-            jets = [membership._series_at(table, z) for z in mid.tolist()]
-            values = np.array([membership._convolution_pair("t1", g) for g in jets]).T
-            return membership._inside_indicator(membership._annulling_points(spec, *values, "t1")[0])
+            values = np.array([membership._series_at(table, z) for z in mid.tolist()]).T
+            return membership._inside_indicator(membership._annulling_points(spec, *values)[0])
 
         ref = bisect_reference(at, za, zb, fa)
         for end, ref_k in zip(zb.tolist(), ref.tolist()):
@@ -1194,7 +1245,7 @@ class TestDirectionMinima:
         s_base, s_dir = _convolution_series(f, spec, which)
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-        x = membership._circle_direction(membership._annulling_points(spec, base, dirv, which)[1])
+        x = membership._circle_direction(membership._annulling_points(spec, *_image_values(f, spec, zs))[1])
         return spec, f, base, dirv, x
 
     @staticmethod
@@ -1320,6 +1371,21 @@ class TestAlexanderRoute:
             assert a.verdict == b.verdict
             assert a.margin == pytest.approx(b.margin, abs=1e-10)
             assert b.method == "alexander"
+
+    def test_is_the_direct_report_renamed(self):
+        # the direct check reads a convex query through the image of -z f',
+        # so the transform route is the same computation: every field but
+        # the method agrees, on Janowski and polynomial members and on
+        # non-members constructed from them
+        grid, verdicts = GridSpec(angles=64), []
+        for spec, f in _oracle_members(5, 12)[1::2]:  # convex: disc, half-plane, polynomial, twice
+            for g in (f, construct_nonmember(f, spec, grid)):
+                rep = check_direct(g, spec, grid)
+                assert check_alexander(g, spec, grid) == replace(rep, method="alexander")
+                verdicts.append(rep.verdict)
+            with pytest.raises(ValueError):
+                check_alexander(f, replace(spec, kind="spirallike"), grid)
+        assert verdicts == ["member", "non-member"] * 6
 
     def test_alexander_ratio_identity(self, rng):
         # convex phase ratio of f equals spirallike phase ratio of -z f'
@@ -1772,11 +1838,14 @@ def _grid_reference(f, spec, grid, which):
     def values(zs):
         return evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
 
+    def annulling(zs):
+        return membership._annulling_points(spec, *_image_values(f, spec, zs))
+
     return grid_convolution_reference(
         grid.z_points(), _directions(512), len(grid.radii), values,
         lambda xs: membership._direction_weights(spec, xs, which),
-        lambda zs: membership._inside_indicator(membership._annulling_points(spec, *values(zs), which)[0]),
-        lambda zs: membership._circle_direction(membership._annulling_points(spec, *values(zs), which)[1]),
+        lambda zs: membership._inside_indicator(annulling(zs)[0]),
+        lambda zs: membership._circle_direction(annulling(zs)[1]),
         grid.r_max, grid.min_modulus,
     )
 
@@ -1849,7 +1918,7 @@ def _oracle_members(seed, count, order=64):
 def _dense_torus_minimum(f, spec, grid, which, n_dirs=4096):
     """The smallest |F| of a dense scan of the grid.angles circle samples
     times `n_dirs` directions, lowered by `_polish_minimum` from its argmin."""
-    g = membership._convolution_image(f, spec)
+    g = membership._image(f, spec)
     zs, xs = grid.circle_points(), _directions(n_dirs)
     ws, skip = membership._direction_weights(spec, xs, which)
     base, dirv = membership._convolution_pair(which, evaluate_grid(g, zs, 1))
