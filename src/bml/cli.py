@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import math
+import os
 import sys
 from typing import Optional
 
@@ -433,5 +434,15 @@ def main(argv=None) -> int:
         return 2
 
 
+def run(argv=None):
+    """The `bml` command: `main`, then flush stdout and stderr and end the
+    process with `os._exit`, skipping the interpreter's teardown (and any
+    `atexit` handler); an exception from `main` or a flush propagates."""
+    code = main(argv)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

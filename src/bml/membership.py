@@ -429,7 +429,11 @@ def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: flo
     """Vectorized phase ratios q = z G'/G of the image G (`_image`), the
     mask of singular sample points, G, and (G, z G') at zs from one
     `evaluate_grid`: the zeros of G are the poles of q."""
-    g = _image(f, spec)
+    return _image_phases(_image(f, spec), zs, min_modulus)
+
+
+def _image_phases(g: SigmaSeries, zs: np.ndarray, min_modulus: float):
+    """`phase_grid` of the image G already built."""
     values = evaluate_grid(g, zs, 1)
     skip = np.abs(values[0]) < min_modulus
     return values[1] / np.where(skip, 1.0, values[0]), skip, g, values
@@ -467,7 +471,7 @@ def check_direct(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> MembershipR
     idx = int(np.argmin(margins))
     margin, witness = float(margins[idx]), complex(zs[idx])
     if margin > 0.0 and len(zeros := _image_zeros(g, zs, values, grid.r_max)):
-        margin, witness = _pole_witness(f, spec, zeros[0], grid)
+        margin, witness = _pole_witness(g, spec, zeros[0], grid)
     verdict = "member" if margin > 0.0 else "non-member"
     return MembershipReport(verdict, margin, witness, None, "direct", skipped)
 
@@ -481,14 +485,14 @@ def check_alexander(f: SigmaSeries, spec: ClassSpec, grid: GridSpec) -> Membersh
     return replace(check_direct(f, spec, grid), method="alexander")
 
 
-def _pole_witness(f: SigmaSeries, spec: ClassSpec, z0: complex, grid: GridSpec):
+def _pole_witness(g: SigmaSeries, spec: ClassSpec, z0: complex, grid: GridSpec):
     """(margin, z) at the sample furthest outside the region of a ring about
-    the pole z0 of q within |z| <= r_max, of radius |z0|/2 shrunk by 4 until
-    one is outside (on a ray to z0, q can tend to infinity in a half-plane)."""
+    the pole z0 of q = z G'/G within |z| <= r_max, of radius |z0|/2 shrunk by 4
+    until one is outside (on a ray to z0, q can tend to infinity in a half-plane)."""
     for h in 0.5 * abs(z0) * 0.25 ** np.arange(_RING_SHRINKS):
         zs = z0 + circle(h, 16)
         zs = np.where(np.abs(zs) > grid.r_max, zs * (grid.r_max / np.abs(zs)), zs)
-        q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
+        q, skip, *_ = _image_phases(g, zs, grid.min_modulus)
         margins = np.where(skip, np.inf, region_margins(spec, q))
         if margins.min() <= 0.0:
             return float(margins.min()), complex(zs[np.argmin(margins)])
@@ -683,21 +687,22 @@ def _direction_minima(spec: ClassSpec, which: str, base, dirv, x: np.ndarray):
     (an annulling point deep inside the disc) it may stay above it, and
     the polish in both angles from the smallest sample is what makes the
     margin the torus minimum."""
-    _, skip = _direction_weights(spec, np.where(np.isnan(x), 1.0, x), which)
-    fallback = np.isnan(x) | skip
-    t = np.angle(x)
+
+    def jet(t):  # F = B + W D and its t-derivatives i W_1 D, -W_2 D
+        w, w1, w2, skip = _direction_weights(spec, np.exp(1j * t), which, 2)
+        return base + w * dirv, 1j * w1 * dirv, -w2 * dirv, skip
+
+    t = np.angle(np.where(np.isnan(x), 1.0, x))
+    first = jet(t)
+    fallback = np.isnan(x) | first[3]
     if fallback.any():  # the first live one of m + 2 angles: at most m are degenerate
         poly = isinstance(spec.theta, PolynomialTheta)
         m = len(_trimmed_coefficients(spec.theta)) - 1 if poly else 1
         ts = np.pi * (2 * np.arange(m + 2) + 1) / (m + 2)
         _, dead = _direction_weights(spec, np.exp(1j * ts), which)
         t = np.where(fallback, ts[np.argmin(dead)], t)
-
-    def jet(t):  # F = B + W D and its t-derivatives i W_1 D, -W_2 D
-        w, w1, w2, skip = _direction_weights(spec, np.exp(1j * t), which, 2)
-        return base + w * dirv, 1j * w1 * dirv, -w2 * dirv, skip
-
-    t, size = newton_angle_minima(jet, t)
+        first = jet(t)
+    t, size = newton_angle_minima(jet, t, first)
     return t, size, int(fallback.sum())
 
 

@@ -1,13 +1,19 @@
+import ast
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bml
+import bml.cli
 from bml import extremal_function
 from bml.cli import CLIError, main, parse_function_spec
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -312,3 +318,97 @@ class TestUsage:
     def test_unknown_flag_exits_2(self, capsys):
         code, _, err = run(capsys, "ml-eval", "--zz", "1,0")
         assert code == 2
+
+
+def child_env():
+    """Environment of a child that imports this bml, with block-buffered
+    stdout (no PYTHONUNBUFFERED): a short output then stays in the stream's
+    buffer until the flush before `os._exit`."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(bml.__file__)))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def spawn(*argv):
+    """`python -m bml.cli argv` as a child process, its stdout and stderr
+    read through pipes: (exit code, stdout, stderr)."""
+    done = subprocess.run(
+        [sys.executable, "-m", "bml.cli", *argv],
+        stdin=subprocess.DEVNULL, env=child_env(), capture_output=True, text=True,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+class TestEntry:
+    """The `bml` process ends through `os._exit` once its output is flushed:
+    what it prints, writes and returns is what `main` gives in-process."""
+
+    @pytest.mark.parametrize(
+        "text,code",
+        [("builtin extremal alpha=0.5 lambda=0 N=16\n", 0), ("principal 1 0\ncoef 2 40 0\n", 1)],
+        ids=["member", "non-member"],
+    )
+    def test_check_matches_main(self, capsys, tmp_path, text, code):
+        src = tmp_path / "f.spec"
+        src.write_text(text)
+        argv = ("check", str(src), "--A", "0", "--B", "-1", "--angles", "64")
+        expected = run(capsys, *argv)
+        assert expected[0] == code
+        assert spawn(*argv) == expected
+
+    def test_usage_error_exits_2_with_one_line(self, capsys):
+        argv = ("ml-eval", "--zz", "1,0")
+        code, out, err = spawn(*argv)
+        assert (code, out, err) == run(capsys, *argv)
+        assert code == 2 and out == "" and len(err.splitlines()) == 1
+
+    def test_out_file_is_complete(self, capsys, tmp_path):
+        argv = ("op-coeffs", "--K", "0.5", "--theta", "0.3", "--N", "170")
+        assert run(capsys, *argv, "--out", str(tmp_path / "main.csv")) == (0, "", "")
+        assert spawn(*argv, "--out", str(tmp_path / "child.csv")) == (0, "", "")
+        assert (tmp_path / "child.csv").read_bytes() == (tmp_path / "main.csv").read_bytes()
+
+    def test_pipe_output_larger_than_a_pipe_buffer_arrives(self, capsys):
+        # about 91 KB, more than a pipe holds: the child blocks on the pipe
+        # until this process reads, and every line still arrives
+        argv = ("extremal", "--alpha", "0.5", "--N", "5000")
+        code, out, err = spawn(*argv)
+        assert (code, out, err) == run(capsys, *argv)
+        assert len(out.splitlines()) == 5001 and len(out) > 65536
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that refuses writes")
+    def test_failed_flush_is_not_swallowed(self):
+        with open("/dev/full", "w") as full:
+            done = subprocess.run(
+                [sys.executable, "-m", "bml.cli", "ml-eval", "--z", "1,0"],
+                stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True,
+            )
+        assert done.returncode != 0
+        assert "Traceback" in done.stderr and "No space left on device" in done.stderr
+
+    def test_exception_from_main_is_not_swallowed(self):
+        script = (
+            "import bml.cli\n"
+            "def boom(argv):\n"
+            "    raise KeyError('boom')\n"
+            "bml.cli.main = boom\n"
+            "bml.cli.run([])\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True)
+        assert done.returncode == 1 and done.stdout == ""
+        assert done.stderr.startswith("Traceback") and done.stderr.endswith("KeyError: 'boom'\n")
+
+    def test_installed_command_is_the_module_entry(self):
+        # the console script and `python -m bml.cli` call one function
+        pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", pyproject, re.M | re.S)
+        target = re.search(r'^bml\s*=\s*"([\w.]+):(\w+)"\s*$', scripts.group(1), re.M)
+        assert target.group(1) == "bml.cli"
+        tree = ast.parse((ROOT / "src" / "bml" / "cli.py").read_text(encoding="utf-8"))
+        (block,) = [
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        ]
+        (statement,) = block.body
+        assert ast.unparse(statement) == f"{target.group(2)}()"
+        assert callable(getattr(bml.cli, target.group(2)))

@@ -44,6 +44,7 @@ from bml import (
 import bml.membership as membership
 from bml.cli import main
 from bml.solvers import (
+    _ANGLE_STEPS,
     _MAX_STEP,
     _NEWTON_STEPS,
     _SECANT_STEPS,
@@ -487,7 +488,9 @@ class TestDirectOnCircle:
         q, skip, *_ = membership.phase_grid(f, spec, grid.circle_points(), grid.min_modulus)
         assert not skip.any() and np.all(membership.region_margins(spec, q) > 0.1)
         zeros = _counted(monkeypatch, "_image_zeros")
+        images = _counted(monkeypatch, "_image")
         rep = check_direct(f, spec, grid)
+        assert len(images) == 1  # the rings about the pole read the check's own G
         assert rep.verdict == "non-member" == _direct_grid_reference(f, spec, grid)[0]
         assert len(zeros) == 1 and len(zeros[0]) >= 1
         _assert_direct_witness(f, spec, grid, rep)
@@ -1281,6 +1284,19 @@ class TestDirectionMinima:
         assert size.min() <= dense.min() * (1.0 + 1e-10)
         rep = check_convolution(f, spec, grid, which)
         assert rep.is_member and rep.margin <= size.min()
+
+    @pytest.mark.parametrize("which", ["t1", "t2"])
+    @pytest.mark.parametrize("theta", THETAS, ids=THETA_IDS)
+    def test_member_weighs_the_circle_once_per_newton_jet(self, monkeypatch, which, theta):
+        # the skip mask of the starts comes from the first jet of the
+        # direction Newton, so a member with no fallback start evaluates the
+        # weights over the circle samples once per jet and nowhere else
+        spec, f, *_ = self._inputs(theta, which, GridSpec())
+        weights = _counted(monkeypatch, "_direction_weights")
+        rep = check_convolution(f, spec, GridSpec(), which)
+        assert rep.is_member and rep.skipped == 0
+        on_circle = [w for w in weights if np.shape(w[-1]) == (GridSpec().angles,)]
+        assert len(on_circle) == _ANGLE_STEPS + 1 == 4
 
     def test_angle_newton_leaves_a_maximum(self):
         # F(t) = 1 + e^{it}/2 has its largest modulus 1.5 at t = 0, where
