@@ -1,10 +1,10 @@
 """Command-line front door.
 
 Subcommands: ml-eval, op-coeffs, apply, check, extremal, reconstruct,
-boundary-curve.  Exit codes: 0 success/member, 1 non-member, 2 any
-usage, parse or numeric error (one-line diagnostic on stderr).  Output
-is byte-deterministic for fixed arguments: floats are printed in their
-shortest round-trip form, CSV numbers with 17 significant digits.
+boundary-curve.  Exit codes: 0 success/member, 1 non-member, 2 a usage,
+parse or numeric error (one line on stderr) or any other (a traceback).
+Output is byte-deterministic for fixed arguments: floats are printed in
+their shortest round-trip form, CSV numbers with 17 significant digits.
 """
 
 from __future__ import annotations
@@ -423,24 +423,23 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InconclusiveError as exc:
-        print(f"error: inconclusive: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OverflowError, ArithmeticError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (CLIError, ValueError, ArithmeticError, RuntimeError) as exc:
+        prefix = "inconclusive: " if isinstance(exc, InconclusiveError) else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
         return 2
 
 
 def run(argv=None):
-    """The `bml` command: `main`, then flush stdout and stderr and end the
-    process with `os._exit`, skipping the interpreter's teardown (and any
-    `atexit` handler); an exception from `main` or a flush propagates."""
-    code = main(argv)
-    sys.stdout.flush()
-    sys.stderr.flush()
+    """The `bml` command: `main`, flushed stdout and stderr, then `os._exit`,
+    skipping the interpreter's teardown and `atexit` handlers.  An `Exception`
+    from either exits 2 (not 1, "non-member") after its traceback."""
+    try:
+        code = main(argv)
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except Exception:
+        sys.excepthook(*sys.exc_info())  # the interpreter's report of an uncaught exception
+        code = 2
     os._exit(code)
 
 

@@ -269,13 +269,12 @@ def _monic_frame(theta: PolynomialTheta):
     return complex(-co[-1]), hi, fixed, limit
 
 
-def _preimage_roots(theta: PolynomialTheta, u, outer: bool = False) -> np.ndarray:
+def _preimage_roots(theta: PolynomialTheta, u) -> np.ndarray:
     """The root of Theta(x) = 1 + u nearest the origin per offset u, shape
-    (n,), with `outer` also the root whose modulus is nearest 1, shape
-    (2, n), for Theta of degree M >= 1 in its `_monic_frame`: x = -c0 for
+    (n,), for Theta of degree M >= 1 in its `_monic_frame`: x = -c0 for
     M = 1; M = 2, 3 take `_monic_roots`, for y = x/s where |c0| reaches the
     limit (s a per-row power of two above the Fujiwara bound) and for x
-    elsewhere, so such a row's roots do not depend on the batch; above, one
+    elsewhere, so such a row's root does not depend on the batch; above, one
     eigenvalue solve over the stack of companion matrices.  Rows whose u is
     non-finite, or makes c0 or its modulus overflow, are inf; u = 0 gives
     the root x = 0 exactly."""
@@ -292,43 +291,40 @@ def _preimage_roots(theta: PolynomialTheta, u, outer: bool = False) -> np.ndarra
             nonfinite, rows = big[~finite], big[finite]
             c0[nonfinite] = 0.0
         if m == 1:
-            roots = np.stack([-c0] * (1 + outer))
+            roots = -c0
         elif m <= 3:
-            roots = _monic_roots(hi, c0, outer)
+            roots = _monic_roots(hi, c0)
             if len(rows):
                 s = np.ldexp(1.0, np.frexp(np.maximum(size[rows] ** (1.0 / m), fixed))[1])
                 inv, coef = 1.0 / s, [*hi, c0[rows]]
                 for j in range(m):  # coefficient k is divided by s^(k+1), exactly
                     coef[j:] = [c * inv for c in coef[j:]]
-                roots[:, rows] = _monic_roots(coef[:-1], coef[-1], outer, inv) * s
+                roots[rows] = _monic_roots(coef[:-1], coef[-1]) * s
         else:
             comp = np.zeros((len(c0), m, m), dtype=complex)
             comp[:, 0, :-1], comp[:, 0, -1] = -np.array(hi), -c0
             comp[:, np.arange(1, m), np.arange(m - 1)] = 1.0
-            roots = _nearest(np.linalg.eigvals(comp).T, outer)
-    roots[:, nonfinite] = np.inf
-    roots[0, origin] = 0.0
-    return roots if outer else roots[0]
+            roots = _nearest(np.linalg.eigvals(comp).T)
+    roots[nonfinite] = np.inf
+    roots[origin] = 0.0
+    return roots
 
 
-def _nearest(y: np.ndarray, outer: bool, unit=1.0) -> np.ndarray:
-    """Per column of y, the entry of least modulus (with `outer`, then the one of modulus nearest `unit`)."""
-    size = np.abs(y)
-    pick = [size.argmin(axis=0), np.abs(size - unit).argmin(axis=0)][: 1 + outer]
-    return y[pick, np.arange(y.shape[1])]
+def _nearest(y: np.ndarray) -> np.ndarray:
+    """Per column of y, the entry of least modulus."""
+    return y[np.abs(y).argmin(axis=0), np.arange(y.shape[1])]
 
 
-def _monic_roots(hi, c0, outer: bool, unit=1.0) -> np.ndarray:
-    """`_nearest` (`unit`: modulus 1 in the caller's frame) of the roots of
-    x^M + hi[0] x^(M-1) + ... + c0, M = 2, 3, each polished by one Newton
-    step where finite: the quadratic formula, its square root signed against
-    cancellation (c0/q is the smaller root), or Cardano's with the larger cube."""
+def _monic_roots(hi, c0) -> np.ndarray:
+    """The root nearest the origin of x^M + hi[0] x^(M-1) + ... + c0,
+    M = 2, 3, polished by one Newton step where finite: the quadratic
+    formula, its square root signed against cancellation (c0/q is the
+    smaller root), or `_nearest` of Cardano's with the larger cube."""
     if len(hi) == 1:
         (b,) = hi
         d = np.sqrt(b * b - 4.0 * c0)
         q = -0.5 * b - d * np.copysign(0.5, (d * np.conjugate(b)).real)
         x = c0 / q  # 0/0 only where c0 = b = 0
-        x = np.stack([x, np.where(np.abs(q) + np.abs(x) < 2.0 * unit, q, x)]) if outer else x[None]
     else:
         a3, b = hi[0] / 3.0, hi[1]
         p = b - hi[0] * a3
@@ -337,7 +333,7 @@ def _monic_roots(hi, c0, outer: bool, unit=1.0) -> np.ndarray:
         cube = h + r * np.copysign(1.0, (h * np.conjugate(r)).real)
         w = np.cbrt(np.abs(cube)) * np.exp(1j / 3.0 * np.angle(cube))
         v = np.where(w == 0.0, 0.0, p / 3.0 / w)  # w = 0 only where p = 0
-        x = _nearest(w * _CUBE_ROOTS_OF_UNITY - v * _CUBE_ROOTS_OF_UNITY.conjugate() - a3, outer, unit)
+        x = _nearest(w * _CUBE_ROOTS_OF_UNITY - v * _CUBE_ROOTS_OF_UNITY.conjugate() - a3)
     val = x + hi[0]
     der = x + val  # Horner's rule for the value and the derivative
     for c in hi[1:]:
@@ -646,41 +642,30 @@ def _polish_minimum(table, spec, which, z0, x0, radius):
 
 
 def _annulling_points(spec: ClassSpec, g: np.ndarray, dg: np.ndarray):
-    """Per sample of (G, z G'), points x (not restricted to the circle) that
-    annul t1 and t2 alike: F_t2 = z G' + E G and F_t1 = -F_t2/(1 - E) vanish
-    where E(x) is the annulling value e = -z G'/G, carried as the offset
-    e - 1 = -(z G' + G)/G.  Returns (inner, outer): the one x of a Möbius
-    target, or the two `_preimage_roots`."""
+    """Per sample of (G, z G'), the point x (not restricted to the circle)
+    that annuls t1 and t2 alike: F_t2 = z G' + E G and F_t1 = -F_t2/(1 - E)
+    vanish where E(x) is the annulling value e = -z G'/G, carried as the
+    offset e - 1 = -(z G' + G)/G; x is the Möbius preimage, or the
+    `_preimage_roots` root nearest the origin.  Returns the signed inside
+    indicator (|x| - 1)/(|x| + 1), negative where x lies inside the unit
+    circle (e inside the target region), positive outside, -1 at the
+    puncture, and in [-1, 1], so no end value near a pole of e stalls the
+    secant; and the circle direction x/|x|, nan where x is 0 or not finite."""
     with np.errstate(divide="ignore", invalid="ignore"):
         u = _theta_need(spec, -(dg + g) / g)
         if isinstance(spec.theta, JanowskiTheta):
             x = u / (spec.theta.A - spec.theta.B - spec.theta.B * u)
-            return x, x
-    return _preimage_roots(spec.theta, u, outer=True)
-
-
-def _inside_indicator(inner: np.ndarray) -> np.ndarray:
-    """Signed indicator (|x| - 1)/(|x| + 1) of the inner annulling points x:
-    negative where x lies inside the unit circle (the annulling value sits
-    inside the target region), positive outside, -1 at the puncture; in
-    [-1, 1], so no end value near a pole of e stalls the secant."""
-    size = np.abs(inner)
-    with np.errstate(invalid="ignore"):
-        return (size - 1.0) / (size + 1.0)
-
-
-def _circle_direction(outer: np.ndarray) -> np.ndarray:
-    """Per outer annulling point, the direction on the circle nearest to
-    annulling the value there (nan where there is none)."""
-    ok = np.isfinite(outer) & (outer != 0)
-    x = np.where(ok, outer, 1.0)
-    return np.where(ok, x / np.abs(x), np.nan)
+        else:
+            x = _preimage_roots(spec.theta, u)
+        size = np.abs(x)
+        ok = np.isfinite(x) & (x != 0)
+        return (size - 1.0) / (size + 1.0), np.where(ok, x / np.where(ok, size, 1.0), np.nan)
 
 
 def _direction_minima(spec: ClassSpec, which: str, base, dirv, x: np.ndarray):
     """Per sample, the least |base + W(e^{it}) dirv| that the steps of
     `newton_angle_minima` in the direction angle t reach, from the
-    angle of x, the circle direction that annuls the value there, or from
+    angle of x, the direction of the annulling point there, or from
     a fixed live direction where x is undefined or degenerate.  Returns
     (t, |F|, number of such starts).  |F| is a value F takes, so never
     below the minimum over t; where the start lies far from that minimum
@@ -747,7 +732,7 @@ def _image_zeros(g: SigmaSeries, zs: np.ndarray, values, r_max: float):
 def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
     """(|F|, z, x) at a zero of F on the rays to the points `ends`, by
     `newton_zero` on F(rho z_k/|z_k|, e^{it}) from (|z_k|, the angle of
-    x_k, the circle direction nearest to annulling F at z_k), one ray at a
+    x_k, the direction of the annulling point at z_k), one ray at a
     time in order: the first |F| below grid.min_modulus and at the
     rounding floor 4 eps (|B| + |W D|) is the witness, so rounding does not
     move it.  A miss on the first ray where F is defined at the start gets
@@ -766,8 +751,8 @@ def _zero_witness(table, spec: ClassSpec, which: str, ends, x, grid: GridSpec):
         return size < grid.min_modulus and size <= _FLOOR * scale
 
     def annulling(rho):  # the inside indicator and the circle direction at rho u
-        inner, outer = _annulling_points(spec, *np.array([_series_at(table, rho * u)[:2]]).T)
-        return float(_inside_indicator(inner)[0]), complex(_circle_direction(outer)[0])
+        indicator, x = _annulling_points(spec, *np.array([_series_at(table, rho * u)[:2]]).T)
+        return float(indicator[0]), complex(x[0])
 
     runs = []
     for k, (end, x_end) in enumerate(zip(ends.tolist(), x.tolist())):
@@ -815,14 +800,14 @@ def check_convolution(
     zs = grid.circle_points()
     values = evaluate_grid(g, zs, 1)
     base, dirv = _convolution_pair(which, values)
-    inner, outer = _annulling_points(spec, *values)
-    outside = ~(np.abs(inner) < 1.0)  # `_inside_indicator` not negative
+    indicator, x = _annulling_points(spec, *values)
+    outside = ~(indicator < 0.0)
     table = _jet_table(g, 3)
     if len(ends := zs[outside]) > 0:
-        outer = outer[outside]
+        x = x[outside]
     elif len(ends := _image_zeros(g, zs, values, grid.r_max)) > 0:
-        outer = _annulling_points(spec, *np.array([_series_at(table, z)[:2] for z in ends.tolist()]).T)[1]
-    x, skipped = _circle_direction(outer), 0
+        x = _annulling_points(spec, *np.array([_series_at(table, z)[:2] for z in ends.tolist()]).T)[1]
+    skipped = 0
     if len(ends) > 0:
         best_val, best_z, best_x = _zero_witness(table, spec, which, ends, x, grid)
     else:

@@ -157,11 +157,11 @@ def newton_minimum(jet, a: float, b: float):
     return a, b, abs(at[0]), steps
 
 
-def newton_angle_minima(jet, t: np.ndarray, first=None):
+def newton_angle_minima(jet, t: np.ndarray, first):
     """Newton steps towards the minima of g = |F|^2 in one angle, all starts at once.
 
-    jet(t) gives (F, F_t, F_tt, undefined) at the angles t; `first`, if
-    given, is jet(t) at the starts, which is then not evaluated again.  Each
+    jet(t) gives (F, F_t, F_tt, undefined) at the angles t; `first` is
+    jet(t) at the starts, which is not evaluated again.  Each
     of the _ANGLE_STEPS steps is Newton's, -g'/g'' with g' = 2 Re(conj(F) F_t) and
     g'' = 2 (|F_t|^2 + Re(conj(F) F_tt)), where g'' > 0, else the
     Gauss-Newton step -g'/(2 |F_t|^2), and -_ANGLE_STEP where g' = 0 and
@@ -171,7 +171,7 @@ def newton_angle_minima(jet, t: np.ndarray, first=None):
     """
     t = np.array(t, dtype=float)
     for k in range(_ANGLE_STEPS + 1):
-        f, f_t, f_tt, undefined = first if k == 0 and first is not None else jet(t)
+        f, f_t, f_tt, undefined = first if k == 0 else jet(t)
         size = np.where(undefined, math.inf, np.abs(f))
         if k == 0:
             best_t, best = t, size

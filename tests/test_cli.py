@@ -383,20 +383,31 @@ class TestEntry:
                 [sys.executable, "-m", "bml.cli", "ml-eval", "--z", "1,0"],
                 stdout=full, stderr=subprocess.PIPE, env=child_env(), text=True,
             )
-        assert done.returncode != 0
+        assert done.returncode == 2
         assert "Traceback" in done.stderr and "No space left on device" in done.stderr
 
-    def test_exception_from_main_is_not_swallowed(self):
+    # exit 1 means "non-member", so an escaping exception exits 2; a
+    # MemoryError is what a huge --angles raises, injected here rather
+    # than allocated
+    @pytest.mark.parametrize(
+        "error,text", [("KeyError", "'boom'"), ("MemoryError", "boom")], ids=["KeyError", "MemoryError"]
+    )
+    def test_exception_from_main_is_not_swallowed(self, error, text):
         script = (
             "import bml.cli\n"
             "def boom(argv):\n"
-            "    raise KeyError('boom')\n"
+            f"    raise {error}('boom')\n"
             "bml.cli.main = boom\n"
             "bml.cli.run([])\n"
         )
         done = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True, text=True)
-        assert done.returncode == 1 and done.stdout == ""
-        assert done.stderr.startswith("Traceback") and done.stderr.endswith("KeyError: 'boom'\n")
+        assert done.returncode == 2 and done.stdout == ""
+        assert done.stderr.startswith("Traceback") and done.stderr.endswith(f"{error}: {text}\n")
+
+    def test_help_still_exits_0(self):
+        # argparse ends --help with SystemExit(0), which `run` lets through
+        code, out, err = spawn("--help")
+        assert code == 0 and out.startswith("usage: bml") and err == ""
 
     def test_installed_command_is_the_module_entry(self):
         # the console script and `python -m bml.cli` call one function

@@ -48,35 +48,64 @@ def test_every_private_top_level_name_is_used():
     assert unused == []
 
 
+def _default_passes():
+    """Per defaulted parameter of a function in src/bml, (module, function,
+    parameter, passes): `passes` holds, for each call in src/bml of a
+    function of that name, whether it passes the parameter (by position,
+    by keyword, or through * or **)."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    found = []
+    for module, tree in sorted(trees.items()):
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            keyword = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+            defaulted += [(math.inf, a.arg) for a, d in keyword if d is not None]
+            for index, name in defaulted:
+                passes = [
+                    len(call.args) > index
+                    or any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (name, None) for k in call.keywords)
+                    for call in calls.get(fn.name, [])
+                ]
+                found.append((module, fn.name, name, passes))
+    return found
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_default_is_overridden():
     """Each defaulted parameter of a private function in src/bml is passed
     by at least one call there (by position, by keyword, or through * or
     **), so a knob that every caller leaves at one value fails."""
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
-    nodes = [node for tree in trees for node in ast.walk(tree)]
-    calls = {}
-    for node in nodes:
-        if isinstance(node, ast.Call):
-            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
-            calls.setdefault(name, []).append(node)
-    unused = []
-    for fn in nodes:
-        if not isinstance(fn, ast.FunctionDef) or not fn.name.startswith("_") or fn.name.startswith("__"):
-            continue
-        positional = fn.args.posonlyargs + fn.args.args
-        first = len(positional) - len(fn.args.defaults)
-        defaulted = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
-        keyword = zip(fn.args.kwonlyargs, fn.args.kw_defaults)
-        defaulted += [(math.inf, a.arg) for a, d in keyword if d is not None]
-        for index, name in defaulted:
-            if not any(
-                len(call.args) > index
-                or any(isinstance(a, ast.Starred) for a in call.args)
-                or any(k.arg in (name, None) for k in call.keywords)
-                for call in calls.get(fn.name, [])
-            ):
-                unused.append(f"{fn.name}({name}=...)")
+    unused = [
+        f"{fn}({name}=...)" for _, fn, name, passes in _default_passes() if _private(fn) and not any(passes)
+    ]
     assert unused == []
+
+
+def test_every_private_or_solver_default_is_relied_on():
+    """Each defaulted parameter of a private function, or of a function of
+    `bml.solvers`, is left at its default by at least one call in src/bml,
+    so a default that every caller overrides fails: the parameter should
+    then be required."""
+    always = [
+        f"{fn}({name}=...)"
+        for module, fn, name, passes in _default_passes()
+        if (_private(fn) or module == "solvers.py") and all(passes)
+    ]
+    assert always == []
 
 
 def test_every_solver_is_called_from_another_module():

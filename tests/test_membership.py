@@ -192,23 +192,21 @@ _CLOSED_FORM_TARGETS = [(1.0, 0.4), (1.0, 0.4, 0.1), (1.0, 0.5 + 0.2j, 0.05, -0.
 
 
 def _nearest(got, reference, tol, relative=False):
-    """Each row of `got` (the root nearest the origin, then the root whose
-    modulus is nearest 1) is within tol of a root of its `reference` row
-    (within tol * max(1, |y|) if `relative`) whose own distance, |y| or
-    ||y| - 1|, is the row's least within that tolerance."""
-    for row, ref in zip(np.asarray(got).T, reference):
-        for x, key in zip(row, (np.abs(ref), np.abs(np.abs(ref) - 1.0))):
-            err = np.abs(ref - x) / (np.maximum(1.0, np.abs(ref)) if relative else 1.0)
-            k, least = int(np.argmin(err)), int(np.argmin(key))
-            slack = tol * (max(1.0, abs(ref[least])) if relative else 1.0)
-            if not (err[k] <= tol and key[k] <= key[least] + 2.0 * slack):
-                return False
+    """Each entry of `got` is within tol of a root of its `reference` row
+    (within tol * max(1, |y|) if `relative`) whose modulus is the row's
+    least within that tolerance."""
+    for x, ref in zip(np.asarray(got), reference):
+        size = np.abs(ref)
+        err = np.abs(ref - x) / (np.maximum(1.0, size) if relative else 1.0)
+        k, least = int(np.argmin(err)), int(np.argmin(size))
+        slack = tol * (max(1.0, size[least]) if relative else 1.0)
+        if not (err[k] <= tol and size[k] <= size[least] + 2.0 * slack):
+            return False
     return True
 
 
 class TestPreimage:
-    """`_preimage_roots` returns the root nearest the origin and, with
-    `outer`, the root whose modulus is nearest 1, per offset."""
+    """`_preimage_roots` returns the root nearest the origin per offset."""
 
     def test_matches_per_point_roots(self, rng):
         for degree in (1, 2, 3, 4):
@@ -216,39 +214,37 @@ class TestPreimage:
                 tail = 0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree))
                 coefficients = (1.0,) + tuple(tail)
                 t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-                roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
-                assert roots.shape == (2, 40)
-                inner = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
-                assert np.array_equal(inner, roots[0])
+                roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+                assert roots.shape == (40,)
                 assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10)
 
     def test_trailing_zero_lowers_degree(self, rng):
         coefficients = (1.0, 0.4, 0.0)
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
-        assert roots.shape == (2, 20) and np.array_equal(roots[0], roots[1])
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+        assert roots.shape == (20,)
         assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10)
 
     def test_t0_gives_root_at_origin(self):
         for coefficients in _CLOSED_FORM_TARGETS:
-            roots = _preimage_roots(PolynomialTheta(coefficients), [0.0], outer=True)
+            roots = _preimage_roots(PolynomialTheta(coefficients), [0.0])
             assert _nearest(roots, preimage_roots_reference(coefficients, [1.0]), 1e-10)
-            assert roots[0, 0] == 0.0
+            assert roots[0] == 0.0
 
     def test_nonfinite_t_rows_are_inf(self):
         t = np.array([0.5, np.inf, complex(np.nan, 0.0), complex(1.0, -np.inf), 2.0j])
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
-            assert roots.shape == (2, 5)
-            assert np.all(np.isinf(roots[:, 1:4]))
-            assert np.all(np.isfinite(roots[:, [0, 4]]))
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+            assert roots.shape == (5,)
+            assert np.all(np.isinf(roots[1:4]))
+            assert np.all(np.isfinite(roots[[0, 4]]))
 
     def test_overflowing_modulus_rows_are_inf(self):
         # each part of the constant term (t - 1)/t_M is finite, its modulus is not
         for coefficients in _CLOSED_FORM_TARGETS + [(1.0, 0.3, 0.1j, 0.02, 0.01)]:
             t = np.array([-coefficients[-1] * 1.5e308 * (1.0 + 1.0j), 0.5])
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
-            assert np.all(np.isinf(roots[:, 0])) and np.all(np.isfinite(roots[:, 1]))
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+            assert np.isinf(roots[0]) and np.isfinite(roots[1])
 
     # degrees 1-3 are solved in closed form, degree 4 by companion eigenvalues
 
@@ -257,7 +253,7 @@ class TestPreimage:
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
         for scale in (1e100, 1e300):
             t = scale * np.exp(2j * np.pi * rng.uniform(size=8))
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             assert np.all(np.isfinite(roots))
             assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10, relative=True)
 
@@ -265,16 +261,16 @@ class TestPreimage:
     def test_rows_do_not_depend_on_the_batch(self, rng, degree):
         # rows at most the frame's limit are solved as they are, so a
         # non-finite row, or one scaled above the limit, changes no other
-        # row's roots, and each row is its roots solved alone, bit for bit
+        # row's root, and each row is its root solved alone, bit for bit
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
         theta = PolynomialTheta(coefficients)
         u = 2.0 * (rng.normal(size=24) + 1j * rng.normal(size=24))
-        clean = _preimage_roots(theta, u, outer=True)
+        clean = _preimage_roots(theta, u)
         for extra in ([np.inf], [1e305j], [complex(np.nan, 1.0), -1e303, 1e302]):
-            mixed = _preimage_roots(theta, np.concatenate([extra, u, extra]), outer=True)
-            assert np.array_equal(mixed[:, len(extra) : -len(extra)], clean)
+            mixed = _preimage_roots(theta, np.concatenate([extra, u, extra]))
+            assert np.array_equal(mixed[len(extra) : -len(extra)], clean)
         for k in range(len(u)):
-            assert np.array_equal(_preimage_roots(theta, u[k : k + 1], outer=True)[:, 0], clean[:, k])
+            assert np.array_equal(_preimage_roots(theta, u[k : k + 1])[0], clean[k])
 
     def test_closed_forms_are_backward_stable(self, rng):
         # |Theta(x) - t| relative to sum |t_k x^k| + |t| stays at a few
@@ -285,19 +281,18 @@ class TestPreimage:
             for _ in range(200):
                 coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=degree) + 1j * rng.normal(size=degree)))
                 t = 2.0 * (rng.normal(size=50) + 1j * rng.normal(size=50))
-                x = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+                x = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
                 poly = np.array(coefficients[::-1])
                 scale = np.polyval(np.abs(poly), np.abs(x)) + np.abs(t)
                 worst = max(worst, np.max(np.abs(np.polyval(poly, x) - t) / scale))
             assert worst <= 2e-15
 
     # one root near -2.5, the other near -4e11, or near -4e199: past the
-    # limit, where every row is solved scaled and the outer root is still
-    # the one near 1
+    # limit, where every row is solved scaled
     @pytest.mark.parametrize("coefficients", [(1.0, 0.4, 1e-12), (1.0, 0.4, 1e-200)])
     def test_tiny_leading_coefficient(self, rng, coefficients):
         t = rng.normal(size=20) + 1j * rng.normal(size=20)
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
         assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-10, relative=True)
 
     @pytest.mark.parametrize("coefficients", _CLOSED_FORM_TARGETS[1:])
@@ -307,17 +302,16 @@ class TestPreimage:
         poly = np.array(coefficients[::-1], dtype=complex)
         for zeta in np.roots(np.polyder(poly)):
             t = np.polyval(poly, zeta) + 1e-9 * np.exp(2j * np.pi * np.arange(8) / 8)
-            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
+            roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
             assert _nearest(roots, preimage_roots_reference(coefficients, t), 1e-8, relative=True)
 
     def test_degree_four_is_the_companion_eigenvalue_solve(self, rng):
         coefficients = (1.0,) + tuple(0.5 * (rng.normal(size=4) + 1j * rng.normal(size=4)))
         t = 2.0 * (rng.normal(size=40) + 1j * rng.normal(size=40))
-        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0, outer=True)
-        for got, ref in zip(roots.T, preimage_roots_reference(coefficients, t)):
+        roots = _preimage_roots(PolynomialTheta(coefficients), t - 1.0)
+        for got, ref in zip(roots, preimage_roots_reference(coefficients, t)):
             # same matrices, same LAPACK call
-            size = np.abs(ref)
-            assert got[0] == ref[np.argmin(size)] and got[1] == ref[np.argmin(np.abs(size - 1.0))]
+            assert got == ref[np.argmin(np.abs(ref))]
 
 
 class TestPhaseRatio:
@@ -881,8 +875,8 @@ class TestProvenZero:
         spec = ClassSpec(0.0, PolynomialTheta((1.0, slope)), "spirallike", BMLParams(1, 1, 1, 0))
         grid = GridSpec()
         zs = grid.circle_points()
-        inner, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
-        assert np.all(membership._inside_indicator(inner) < 0.0)
+        indicator, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
+        assert np.all(indicator < 0.0)
         # with Newton held at its starts, the secant locates the zero
         if newton == "stays":
             _counted(monkeypatch, "newton_zero", _newton_stays)
@@ -1171,15 +1165,15 @@ class TestSecantZero:
         f = SigmaSeries(1.0, [0.0, 4.0])
         zs = fast_grid.circle_points()
         # a non-member: the radii [0, z_k] of its outside samples bracket a zero
-        inner, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
-        zb = zs[~(membership._inside_indicator(inner) < 0.0)]
+        indicator, _ = membership._annulling_points(spec, *_image_values(f, spec, zs))
+        zb = zs[~(indicator < 0.0)]
         za, fa = np.zeros(len(zb), dtype=complex), np.full(len(zb), -1.0)
         assert len(zb) > 0
         table = membership._jet_table(membership._image(f, spec), 1)
 
         def at(mid):
             values = np.array([membership._series_at(table, z) for z in mid.tolist()]).T
-            return membership._inside_indicator(membership._annulling_points(spec, *values)[0])
+            return membership._annulling_points(spec, *values)[0]
 
         ref = bisect_reference(at, za, zb, fa)
         for end, ref_k in zip(zb.tolist(), ref.tolist()):
@@ -1248,7 +1242,7 @@ class TestDirectionMinima:
         s_base, s_dir = _convolution_series(f, spec, which)
         zs = grid.circle_points()
         base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
-        x = membership._circle_direction(membership._annulling_points(spec, *_image_values(f, spec, zs))[1])
+        x = membership._annulling_points(spec, *_image_values(f, spec, zs))[1]
         return spec, f, base, dirv, x
 
     @staticmethod
@@ -1305,7 +1299,8 @@ class TestDirectionMinima:
             e = np.exp(1j * t)
             return 1.0 + 0.5 * e, 0.5j * e, -0.5 * e, np.zeros(t.shape, dtype=bool)
 
-        t, size = newton_angle_minima(jet, np.array([0.0]))
+        t = np.array([0.0])
+        t, size = newton_angle_minima(jet, t, jet(t))
         assert size[0] < 1.5 and size[0] == abs(1.0 + 0.5 * np.exp(1j * t[0]))
 
     @pytest.mark.parametrize(
@@ -1543,6 +1538,28 @@ def test_methods_agree_on_univalent_polynomial_classes(univalent_polynomial_clas
                 if verdict != label:
                     disagreements.append((i, degree, spec.kind, label, name, verdict))
     assert disagreements == []
+
+
+@pytest.mark.parametrize("lam,kind", [(0.3, "spirallike"), (-0.5, "convex")])
+def test_fully_scaled_target_gives_the_reports_of_its_unscaled_twin(lam, kind):
+    """Theta = 1 + 0.4 x + 1e-200 x^2 has frame limit -1, so every preimage
+    row of every check is solved scaled; on a member and its non-member,
+    direct, t1 and t2 give the reports of Theta = 1 + 0.4 x."""
+    params = BMLParams(1.2, 0.8, 2.0, 1.0)
+    scaled = ClassSpec(lam, PolynomialTheta((1.0, 0.4, 1e-200)), kind, params)
+    plain = replace(scaled, theta=PolynomialTheta((1.0, 0.4)))
+    assert membership._monic_frame(scaled.theta)[3] == -1.0
+    omega = SchwarzSpec(((0.0,) if kind == "convex" else ()) + (0.3, 0.2j))
+    member = reconstruct_f(scaled, omega, build_kernel(params, 32), 32, kind)
+    grid = GridSpec()
+    checks = [check_direct] + [lambda f, s, g, w=w: check_convolution(f, s, g, w) for w in ("t1", "t2")]
+    for f, label in ((member, "member"), (construct_nonmember(member, scaled, grid), "non-member")):
+        for check in checks:
+            got, want = check(f, scaled, grid), check(f, plain, grid)
+            assert got.verdict == want.verdict == label
+            assert abs(got.margin - want.margin) <= 1e-12 * abs(want.margin)
+            assert abs(got.witness_z - want.witness_z) <= 1e-13
+            assert got.witness_x == want.witness_x or abs(got.witness_x - want.witness_x) <= 1e-13
 
 
 @st.composite
@@ -1860,8 +1877,8 @@ def _grid_reference(f, spec, grid, which):
     return grid_convolution_reference(
         grid.z_points(), _directions(512), len(grid.radii), values,
         lambda xs: membership._direction_weights(spec, xs, which),
-        lambda zs: membership._inside_indicator(annulling(zs)[0]),
-        lambda zs: membership._circle_direction(annulling(zs)[1]),
+        lambda zs: annulling(zs)[0],
+        lambda zs: annulling(zs)[1],
         grid.r_max, grid.min_modulus,
     )
 
