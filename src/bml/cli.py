@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InconclusiveError
 from .integral_repr import SchwarzSpec, reconstruct_f
-from .laurent import SigmaSeries
+from .laurent import SigmaSeries, circle
 from .membership import (
     ClassSpec,
     GridSpec,
@@ -237,12 +237,7 @@ def _add_class(p: argparse.ArgumentParser):
 
 def _add_grid(p: argparse.ArgumentParser):
     p.add_argument("--rmax", type=float, default=0.99, help="largest sampled radius (default 0.99)")
-    p.add_argument("--radii", type=int, default=12, help="sampled radii of boundary-curve; the "
-                   "checks sample only |z| = rmax (default 12)")
-    p.add_argument("--angles", type=int, default=256, help="samples per circle (default 256)")
-    p.add_argument("--xsamples", type=int, default=512, help="accepted for compatibility and "
-                   "validated (at least 8), but changes no result: the convolution checks "
-                   "minimise over the direction without sampling it (default 512)")
+    p.add_argument("--angles", type=int, default=256, help="samples per circle, 8 to 16384 (default 256)")
     p.add_argument("--delta", type=float, default=1e-9, help="non-vanishing threshold (default 1e-9)")
 
 
@@ -250,17 +245,8 @@ def _params_of(args) -> BMLParams:
     return BMLParams(args.K, args.theta, args.a, args.s)
 
 
-def _grid_of(args) -> GridSpec:
-    if args.radii < 1:
-        raise CLIError(f"--radii must be at least 1, got {args.radii}")
-    radii = tuple(args.rmax * (k / args.radii) for k in range(1, args.radii + 1))
-    return GridSpec(
-        radii=radii,
-        r_max=args.rmax,
-        angles=args.angles,
-        boundary_x=args.xsamples,
-        min_modulus=args.delta,
-    )
+def _grid_of(args, **extra) -> GridSpec:
+    return GridSpec(r_max=args.rmax, angles=args.angles, min_modulus=args.delta, **extra)
 
 
 def _kernel_order(order: int, params: BMLParams, name: str) -> int:
@@ -306,9 +292,9 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    grid = _grid_of(args, boundary_x=args.xsamples)
     f = _read_spec(args.function)
     spec = _class_of(args, _KINDS[args.cls])
-    grid = _grid_of(args)
     if args.method == "direct":
         rep = check_direct(f, spec, grid)
     elif args.method == "alexander":
@@ -335,20 +321,23 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_boundary_curve(args) -> int:
+    """Circle k of --radii R is |z| = rmax k/R, by one FFT (`phase_grid`),
+    so the last is the checks' circle, with their values of q."""
+    if args.radii < 1:
+        raise CLIError(f"--radii must be at least 1, got {args.radii}")
+    grid = _grid_of(args)
     f = _read_spec(args.function)
     spec = _class_of(args, _KINDS[args.cls])
-    grid = _grid_of(args)
-    zs = grid.z_points()
-    q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
-    margins = region_margins(spec, q)
     lines = ["r,theta,q_re,q_im,inside"]
-    for i, z in enumerate(zs):
-        if skip[i]:
-            continue
-        lines.append(
-            f"{_csv(abs(z))},{_csv(math.atan2(z.imag, z.real))},"
-            f"{_csv(q[i].real)},{_csv(q[i].imag)},{1 if margins[i] > 0 else 0}"
-        )
+    for k in range(1, args.radii + 1):
+        zs = circle(grid.r_max * (k / args.radii), grid.angles)
+        q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
+        inside = region_margins(spec, q) > 0
+        for z, qk, ok in zip(zs[~skip], q[~skip], inside[~skip]):
+            lines.append(
+                f"{_csv(abs(z))},{_csv(math.atan2(z.imag, z.real))},"
+                f"{_csv(qk.real)},{_csv(qk.imag)},{int(ok)}"
+            )
     _emit(lines, args.out)
     return 0
 
@@ -389,6 +378,9 @@ def _build_parser() -> _Parser:
     _add_class(p)
     _add_params(p)
     _add_grid(p)
+    p.add_argument("--xsamples", type=int, default=512, help="validated (at least 8), but "
+                   "changes no result: the convolution checks minimise over the direction "
+                   "without sampling it (default 512)")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("extremal", help="emit the boundary-hugging member as a spec file")
@@ -413,6 +405,8 @@ def _build_parser() -> _Parser:
     _add_class(p)
     _add_params(p)
     _add_grid(p)
+    p.add_argument("--radii", type=int, default=12, help="circles sampled, the last at "
+                   "--rmax (default 12)")
     p.add_argument("--out", default=None, help="output file (default stdout)")
     p.set_defaults(func=_cmd_boundary_curve)
 

@@ -129,9 +129,9 @@ class ClassSpec:
 @dataclass(frozen=True)
 class GridSpec:
     """Sampling plan: every check samples |z| = r_max alone, at `angles`
-    points; the polar grid `radii` x `angles` serves only the boundary
-    curve.  `boundary_x` is validated but changes no result: the
-    convolution checks minimise over the direction without sampling it."""
+    points (at most _RECOUNT_SAMPLES, the most any circle of a check takes).
+    `radii` and `boundary_x` are validated but read by no check; they stay
+    for the benchmark harness, which builds and reads them."""
 
     radii: tuple = ()
     r_max: float = 0.99
@@ -149,17 +149,15 @@ class GridSpec:
             raise ValueError("all radii must lie in (0, r_max]")
         if self.angles < 8 or self.boundary_x < 8:
             raise ValueError("angle and boundary sample counts must be at least 8")
+        if self.angles > _RECOUNT_SAMPLES:
+            raise ValueError(f"at most {_RECOUNT_SAMPLES} angles, got {self.angles}")
         if not self.min_modulus > 0:
             raise ValueError("min_modulus must be positive")
         object.__setattr__(self, "radii", radii)
 
     def circle_points(self) -> np.ndarray:
-        """Samples of the circle |z| = r_max: the r_max row of `z_points`, bit for bit."""
+        """The `angles` samples of the circle |z| = r_max."""
         return circle(self.r_max, self.angles)
-
-    def z_points(self) -> np.ndarray:
-        """Samples of the polar grid, radius-major then angle, deterministic order."""
-        return np.concatenate([circle(r, self.angles) for r in self.radii])
 
 
 @dataclass(frozen=True)
@@ -411,14 +409,14 @@ def phase_ratio(
 ) -> complex:
     """Quantity whose subordination to `target_value` defines membership:
     z G'/G for the image G of f, or of -z f' for the convex kind (there
-    1 + z g''/g' for the image g of f), exact on the truncated series: the
-    value of `phase_grid` at the one point z."""
+    1 + z g''/g' for the image g of f), exact on the truncated series:
+    G and z G' summed at the one point z from their `_jet_table`."""
     if z == 0:
         raise PoleError("the phase ratio has a pole at z = 0")
-    q, skip, *_ = phase_grid(f, spec, np.array([complex(z)]), min_modulus)
-    if skip[0]:
+    g, dg = _series_at(_jet_table(_image(f, spec), 1), complex(z))
+    if abs(g) < min_modulus:
         raise SingularPointError(f"the phase ratio's denominator vanishes near z = {z!r}")
-    return complex(q[0])
+    return dg / g
 
 
 def phase_grid(f: SigmaSeries, spec: ClassSpec, zs: np.ndarray, min_modulus: float):

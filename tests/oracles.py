@@ -11,8 +11,8 @@ sign bisection by a fixed 80 steps over a caller-supplied indicator,
 zeros in two real unknowns by Newton's method over every start at once,
 the convolution minimum by a 27-point pattern search over a
 caller-supplied modulus, the convolution verdict by all three over the
-whole polar grid, and the direct verdict by the smallest region margin
-over the whole polar grid.
+whole polar grid (`polar_points`), and the direct verdict by the smallest
+region margin over the whole polar grid.
 """
 
 import cmath
@@ -264,6 +264,13 @@ def pattern_search_reference(modulus, z0, t0, step_z, step_t, r_max, delta, iter
             hz *= 0.5
             ht *= 0.5
     return val, z, t
+
+
+def polar_points(grid):
+    """The polar grid of `grid`: r e^{2 pi i k / angles} for r in
+    `grid.radii`, then k = 0..angles-1 (radius-major)."""
+    roots = np.exp(2j * np.pi * np.arange(grid.angles) / grid.angles)
+    return np.concatenate([r * roots for r in grid.radii])
 
 
 def grid_convolution_reference(zs, xs, n_radii, values, weights, indicator, nearest, r_max, delta):

@@ -1,4 +1,5 @@
 import ast
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import bml
 import bml.cli
 from bml import extremal_function
 from bml.cli import CLIError, main, parse_function_spec
+from bml.membership import phase_grid
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -146,7 +148,7 @@ class TestCheck:
         src.write_text("builtin extremal alpha=0.5 lambda=0 N=16\n")
         code, out, _ = run(
             capsys, "check", str(src), "--A", "0", "--B", "-1",
-            "--radii", "6", "--angles", "64", "--xsamples", "64",
+            "--angles", "64", "--xsamples", "64",
         )
         assert code == 0
         keys = [line.split("=")[0] for line in out.strip().splitlines()]
@@ -158,7 +160,7 @@ class TestCheck:
         src.write_text("principal 1 0\ncoef 2 40 0\n")
         code, out, _ = run(
             capsys, "check", str(src), "--A", "0", "--B", "-1",
-            "--radii", "6", "--angles", "64", "--xsamples", "64",
+            "--angles", "64", "--xsamples", "64",
         )
         assert code == 1
         assert out.startswith("verdict=non-member\n")
@@ -168,7 +170,7 @@ class TestCheck:
         src.write_text("builtin extremal alpha=0.5 lambda=0 N=16\n")
         code, out, _ = run(
             capsys, "check", str(src), "--A", "0", "--B", "-1", "--method", "conv-t1",
-            "--radii", "6", "--angles", "32", "--xsamples", "32",
+            "--angles", "32", "--xsamples", "32",
         )
         assert code == 0
         keys = [line.split("=")[0] for line in out.strip().splitlines()]
@@ -182,7 +184,7 @@ class TestCheck:
         assert code == 2
         code, out, _ = run(
             capsys, "check", str(src), "--method", "alexander", "--class", "convex",
-            "--radii", "6", "--angles", "32", "--xsamples", "32",
+            "--angles", "32", "--xsamples", "32",
         )
         assert code in (0, 1)
         assert "method=alexander" in out
@@ -191,10 +193,32 @@ class TestCheck:
     def test_nonpositive_radii_exit_2(self, capsys, tmp_path, radii):
         src = tmp_path / "f.spec"
         src.write_text("principal 1 0\n")
-        for cmd in ("check", "boundary-curve"):
-            code, out, err = run(capsys, cmd, str(src), "--radii", radii)
-            assert code == 2 and not out
-            assert "--radii" in err
+        code, out, err = run(capsys, "boundary-curve", str(src), "--radii", radii)
+        assert code == 2 and not out
+        assert "--radii" in err
+        # the checks sample |z| = rmax alone, so check takes no --radii
+        code, out, err = run(capsys, "check", str(src), "--radii", "6")
+        assert code == 2 and not out
+        assert "--radii" in err
+
+    def test_angles_above_the_cap_exit_2(self, capsys, tmp_path):
+        src = tmp_path / "f.spec"
+        src.write_text("principal 1 0\n")
+        code, out, err = run(capsys, "check", str(src), "--angles", "16385")
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1
+        assert "16384" in err and "16385" in err
+
+    def test_each_command_takes_only_the_grid_flags_it_reads(self):
+        (subparsers,) = [a.choices for a in bml.cli._build_parser()._actions if isinstance(a.choices, dict)]
+        options = {
+            name: {opt for action in subparsers[name]._actions for opt in action.option_strings}
+            for name in ("check", "boundary-curve")
+        }
+        assert {"--rmax", "--angles", "--delta", "--xsamples"} <= options["check"]
+        assert "--radii" not in options["check"]
+        assert {"--rmax", "--angles", "--delta", "--radii"} <= options["boundary-curve"]
+        assert "--xsamples" not in options["boundary-curve"]
 
     def test_big_grid_check_peak_rss(self, tmp_path):
         # Linux carries a process's peak RSS across exec into its child, so
@@ -225,9 +249,10 @@ class TestCheck:
         src.write_text("builtin extremal alpha=0.25 lambda=0.5 N=32\n")
         args = (
             "check", str(src), "--A", "0.5", "--B", "-1", "--lambda", "0.5",
-            "--K", "1e-8", "--radii", "6", "--angles", "64", "--xsamples", "64",
+            "--K", "1e-8", "--angles", "64", "--xsamples", "64",
         )
-        _, out1, _ = run(capsys, *args)
+        code, out1, _ = run(capsys, *args)
+        assert code in (0, 1)
         _, out2, _ = run(capsys, *args)
         assert out1 == out2
 
@@ -284,7 +309,7 @@ class TestBoundaryCurve:
         src.write_text("builtin extremal alpha=0.5 lambda=0 N=16\n")
         args = (
             "boundary-curve", str(src), "--A", "0", "--B", "-1",
-            "--radii", "3", "--angles", "16", "--xsamples", "8",
+            "--radii", "3", "--angles", "16",
         )
         code, out1, _ = run(capsys, *args)
         assert code == 0
@@ -301,12 +326,33 @@ class TestBoundaryCurve:
         src.write_text("principal 1 0\ncoef 1 0.1 0\n")
         code, out, _ = run(
             capsys, "boundary-curve", str(src), "--radii", "2", "--angles", "8",
-            "--xsamples", "8",
         )
         assert code == 0
         row = out.strip().splitlines()[1].split(",")
         # 1/3-like values keep 17 significant digits
         assert any(len(cell.replace("-", "").replace(".", "").lstrip("0")) >= 16 for cell in row)
+
+    @pytest.mark.parametrize("angles", [64, 1024])
+    def test_last_circle_is_the_checks_circle(self, capsys, tmp_path, angles):
+        # the outer rows are |z| = rmax with the q values the checks decide on
+        src = tmp_path / "f.spec"
+        src.write_text("builtin extremal alpha=0.25 lambda=0.5 N=64\n")
+        flags = ("--A", "0.5", "--B", "-1", "--lambda", "0.5", "--K", "1e-8", "--angles", str(angles))
+        code, out, _ = run(capsys, "boundary-curve", str(src), *flags, "--radii", "5")
+        assert code == 0
+        rows = out.strip().splitlines()[1:]
+        assert len(rows) == 5 * angles
+        f = bml.extremal_function(0.25, 0.5, 64)
+        spec = bml.ClassSpec(0.5, bml.JanowskiTheta(0.5, -1.0), "spirallike", bml.BMLParams(1e-8, 1, 1, 0))
+        grid = bml.GridSpec(angles=angles)
+        zs = grid.circle_points()
+        q, skip, *_ = phase_grid(f, spec, zs, grid.min_modulus)
+        assert not skip.any()
+        want = [
+            f"{abs(z):.17g},{math.atan2(z.imag, z.real):.17g},{v.real:.17g},{v.imag:.17g}"
+            for z, v in zip(zs, q)
+        ]
+        assert [row.rsplit(",", 1)[0] for row in rows[-angles:]] == want
 
 
 class TestUsage:

@@ -61,6 +61,7 @@ from oracles import (
     grid_direct_reference,
     newton_zeros_reference,
     pattern_search_reference,
+    polar_points,
     preimage_roots_reference,
 )
 
@@ -393,7 +394,7 @@ class TestCheckDirect:
 def _direct_grid_reference(f, spec, grid):
     """The direct verdict decided over the whole polar grid of `grid`."""
     return grid_direct_reference(
-        grid.z_points(),
+        polar_points(grid),
         lambda zs: membership.phase_grid(f, spec, zs, grid.min_modulus)[:2],
         lambda q: membership.region_margins(spec, q),
     )
@@ -411,14 +412,12 @@ def _assert_direct_witness(f, spec, grid, rep):
     assert not inside and margin == pytest.approx(rep.margin, rel=1e-9, abs=1e-12)
 
 
-class TestGridPoints:
-    @pytest.mark.parametrize("grid", [GridSpec(), GridSpec(r_max=0.7, angles=64)])
-    def test_outer_row_of_z_points_is_circle_points(self, grid):
-        # the direct checks decide on circle_points(); boundary-curve prints
-        # z_points(), whose r_max row samples the same points, bit for bit
-        assert grid.radii[-1] == grid.r_max
-        rows = grid.z_points().reshape(len(grid.radii), grid.angles)
-        assert np.array_equal(rows[-1], grid.circle_points())
+class TestGridSpec:
+    def test_angles_capped_at_the_recount_samples(self):
+        # no circle of a check takes more samples than a winding recount
+        assert GridSpec(angles=2**14).circle_points().shape == (2**14,)
+        with pytest.raises(ValueError, match="at most 16384 angles, got 16385"):
+            GridSpec(angles=2**14 + 1)
 
 
 class TestDirectOnCircle:
@@ -1094,7 +1093,7 @@ class TestPolishMinimum:
                 return np.where(skip, np.inf, vals)
 
             # the pattern search the polish replaced, from the scan's argmin
-            zs, xs = grid.z_points(), _directions(512)
+            zs, xs = polar_points(grid), _directions(512)
             ws, skip = membership._direction_weights(spec, xs, which)
             base, dirv = evaluate_grid(s_base, zs), evaluate_grid(s_dir, zs)
             scan, i, j = dense_scan_minimum(base, dirv, ws, skip)
@@ -1875,7 +1874,7 @@ def _grid_reference(f, spec, grid, which):
         return membership._annulling_points(spec, *_image_values(f, spec, zs))
 
     return grid_convolution_reference(
-        grid.z_points(), _directions(512), len(grid.radii), values,
+        polar_points(grid), _directions(512), len(grid.radii), values,
         lambda xs: membership._direction_weights(spec, xs, which),
         lambda zs: annulling(zs)[0],
         lambda zs: annulling(zs)[1],
